@@ -116,8 +116,7 @@ def block_tree(g: SimplicialGraph) -> BlockTree:
     _require_connected_pair(g)
     blocks, cuts = _lowpoint_scan(g)
     white = tuple((f"blk{i}", blk) for i, blk in enumerate(sorted(blocks)))
-    black = tuple((f"cut:{v}", v) for v in sorted(cuts))
-    edges = frozenset(
-        (f"cut:{v}", wid) for _, v in black for wid, blk in white if v in blk
-    )
+    cut_id = {v: f"cut:{v}" for v in sorted(cuts)}
+    black = tuple((bid, v) for v, bid in cut_id.items())
+    edges = frozenset((cut_id[v], wid) for wid, blk in white for v in blk if v in cut_id)
     return BlockTree(black=black, white=white, edges=edges)

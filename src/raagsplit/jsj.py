@@ -10,6 +10,7 @@ edge groups are maximal cyclic.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Optional, Union
 
@@ -74,12 +75,6 @@ class GraphOfGroups:
     edges: tuple[GoGEdge, ...]
     source: SimplicialGraph
 
-    def vertex(self, vid: str) -> GoGVertex:
-        for v in self.vertices:
-            if v.id == vid:
-                return v
-        raise KeyError(vid)
-
     def valence(self, vid: str) -> int:
         """Incident edge ends at ``vid``; a loop contributes two."""
         total = 0
@@ -99,21 +94,20 @@ def build_j0(g: SimplicialGraph) -> GraphOfGroups:
     """Initial decomposition over the block tree, with loops at hanging blocks."""
     _require_decomposable(g)
     bt = block_tree(g)
-    valence = {wid: 0 for wid, _ in bt.white}
-    for _, wid in bt.edges:
-        valence[wid] += 1
+    cut_id = {v: bid for bid, v in bt.black}
 
     vertices: list[GoGVertex] = []
+    tree_edges: list[tuple[str, str, str]] = []  # (black id, white id, cut vertex)
     loops: list[tuple[str, str, str]] = []  # (white id, cut vertex, stable letter)
-    cut_set = {v for _, v in bt.black}
     for wid, blk in bt.white:
+        cuts = [v for v in blk if v in cut_id]
+        tree_edges.extend((cut_id[v], wid, v) for v in cuts)
         toral = len(blk) == 2
-        hanging = toral and valence[wid] == 1
+        hanging = toral and len(cuts) == 1
         if hanging:
-            v = blk[0] if blk[0] in cut_set else blk[1]
-            w = blk[1] if v == blk[0] else blk[0]
+            v = cuts[0]
+            loops.append((wid, v, blk[1] if v == blk[0] else blk[0]))
             group: GroupDescriptor = CyclicGroup(v)
-            loops.append((wid, v, w))
         else:
             group = RaagGroup(blk)
         vertices.append(
@@ -122,13 +116,10 @@ def build_j0(g: SimplicialGraph) -> GraphOfGroups:
     for bid, v in bt.black:
         vertices.append(GoGVertex(id=bid, color=BLACK, group=CyclicGroup(v)))
 
-    edges: list[GoGEdge] = []
-    white_order = {wid: i for i, (wid, _) in enumerate(bt.white)}
-    for bid, wid in sorted(bt.edges, key=lambda e: (white_order[e[1]], e[0])):
-        v = bid.removeprefix("cut:")
-        edges.append(
-            GoGEdge(id=f"e{len(edges)}", ends=(bid, wid), group=CyclicGroup(v), inclusions=(v, v))
-        )
+    edges = [
+        GoGEdge(id=f"e{i}", ends=(bid, wid), group=CyclicGroup(v), inclusions=(v, v))
+        for i, (bid, wid, v) in enumerate(tree_edges)
+    ]
     for wid, v, w in loops:
         edges.append(
             GoGEdge(
@@ -201,13 +192,11 @@ def _proper_in(edge_group: CyclicGroup, vertex_group: GroupDescriptor) -> bool:
 
 def is_reduced(gog: GraphOfGroups) -> bool:
     """Every vertex of valence below three has all incident edge groups proper in it."""
-    for v in gog.vertices:
-        if gog.valence(v.id) >= 3:
-            continue
-        for e in gog.edges:
-            if v.id in e.ends and not _proper_in(e.group, v.group):
-                return False
-    return True
+    valence = Counter(end for e in gog.edges for end in e.ends)
+    group = {v.id: v.group for v in gog.vertices}
+    return all(
+        valence[end] >= 3 or _proper_in(e.group, group[end]) for e in gog.edges for end in e.ends
+    )
 
 
 def jsj(g: SimplicialGraph) -> GraphOfGroups:

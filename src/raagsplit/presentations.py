@@ -7,6 +7,7 @@ integer Smith normal form, so torsion is certified absent rather than sampled.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from .blocks import cut_vertices
@@ -78,9 +79,9 @@ def _spanning_tree(gog: GraphOfGroups) -> set[str]:
     root = ids[0]
     seen = {root}
     tree: set[str] = set()
-    queue = [root]
+    queue = deque([root])
     while queue:
-        x = queue.pop(0)
+        x = queue.popleft()
         for y, e in adj[x]:
             if y not in seen:
                 seen.add(y)
@@ -141,9 +142,10 @@ def emit_presentation(gog: GraphOfGroups) -> Presentation:
     for v in gog.vertices:
         if isinstance(v.group, RaagGroup):
             span = set(v.group.vertices)
-            for a, b in gog.source.edges:
-                if a in span and b in span:
-                    relators.append(_commutator(symbol(v.id, a), symbol(v.id, b)))
+            for a in sorted(span):
+                for b in gog.source.neighbors(a):
+                    if b > a and b in span:
+                        relators.append(_commutator(symbol(v.id, a), symbol(v.id, b)))
     for e in gog.edges:
         img0 = symbol(e.ends[0], e.inclusions[0])
         img1 = symbol(e.ends[1], e.inclusions[1])
@@ -230,14 +232,22 @@ def smith_normal_form(matrix: list[list[int]]) -> list[int]:
 
 
 def abelianization(p: Presentation) -> tuple[int, list[int]]:
-    """Free rank and torsion of the abelianized presentation."""
+    """Free rank and torsion of the abelianized presentation.
+
+    Relators that abelianize to zero (commutators, loop conjugations) add
+    nothing to the relation module, so only the nonzero rows are reduced.
+    """
     n = len(p.generators)
     matrix = []
     for word in p.relators:
-        row = [0] * n
+        exponents = dict.fromkeys((gen for gen, _ in word), 0)
         for gen, exp in word:
-            row[gen] += exp
-        matrix.append(row)
+            exponents[gen] += exp
+        if any(exponents.values()):
+            row = [0] * n
+            for gen, total in exponents.items():
+                row[gen] = total
+            matrix.append(row)
     divisors = smith_normal_form(matrix) if matrix else []
     return n - len(divisors), [d for d in divisors if d > 1]
 

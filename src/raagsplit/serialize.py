@@ -8,20 +8,9 @@ from __future__ import annotations
 
 from .graphs import GraphError, ParseError, SimplicialGraph
 from .jsj import BLACK, CyclicGroup, GraphOfGroups, RaagGroup
-from .splitting import (
-    FreeSplitWitness,
-    NonSplitCover,
-    SmallCaseWitness,
-    SplitReport,
-    Witness,
-    ZSplitWitness,
-)
+from .splitting import NonSplitCover, SmallCaseWitness, SplitReport, Witness, ZSplitWitness
 
 GRAPH6_MAX_VERTICES = 62
-
-
-def graph_to_dict(g: SimplicialGraph) -> dict:
-    return {"vertices": list(g.vertices), "edges": [list(e) for e in g.edges]}
 
 
 def witness_to_dict(w: Witness) -> dict:
@@ -37,8 +26,6 @@ def witness_to_dict(w: Witness) -> dict:
         }
     if isinstance(w, SmallCaseWitness):
         return {"kind": "small_case", "tag": w.tag}
-    if isinstance(w, FreeSplitWitness):
-        return {"kind": "free_split", "parts": [list(p) for p in w.parts]}
     raise GraphError(f"unknown witness {w!r}")
 
 

@@ -69,7 +69,7 @@ class SmallCaseWitness:
     tag: str
 
 
-Witness = Union[FreeSplitWitness, ZSplitWitness, NonSplitCover, SmallCaseWitness]
+Witness = Union[ZSplitWitness, NonSplitCover, SmallCaseWitness]
 
 
 @dataclass(frozen=True)
@@ -153,8 +153,36 @@ def nonsplit_cover(g: SimplicialGraph) -> NonSplitCover:
     return NonSplitCover(entries=dict(sorted(entries.items())))
 
 
+def amalgam_defects(g: SimplicialGraph, w: ZSplitWitness) -> list[str]:
+    """All reasons ``w`` fails to certify g as an amalgam; empty means the witness is valid.
+
+    Valid means: the sides are proper, cover g, meet exactly in ``w.vertex``,
+    and no edge joins the two sides away from that vertex, so g is the union
+    of the two induced subgraphs.
+    """
+    s1, s2, allv = set(w.side1), set(w.side2), set(g.vertices)
+    defects = []
+    if s1 | s2 != allv:
+        defects.append("sides do not cover exactly the graph's vertices")
+    if s1 & s2 != {w.vertex}:
+        defects.append(f"sides do not meet in exactly {w.vertex!r}")
+    if s1 == allv or s2 == allv:
+        defects.append("a side is the whole graph")
+    only1, only2 = s1 - {w.vertex}, s2 - {w.vertex}
+    for a, b in g.edges:
+        if (a in only1 and b in only2) or (a in only2 and b in only1):
+            defects.append(f"edge {(a, b)} joins the sides away from {w.vertex!r}")
+    return defects
+
+
 def cover_defects(g: SimplicialGraph, cover: NonSplitCover) -> list[str]:
-    """All reasons ``cover`` fails to certify g; empty means the cover is valid."""
+    """All reasons ``cover`` fails to certify g; empty means the cover is valid.
+
+    A cover certifies "no Z-splitting" only on a connected graph with at
+    least three vertices, so any other graph is a defect by itself.
+    """
+    if len(g.vertices) < 3 or len(connected_components(g)) != 1:
+        return ["graph is not connected with at least three vertices"]
     defects = []
     segments = set(two_edge_segments(g))
     for seg in sorted(segments):
@@ -181,7 +209,7 @@ def cover_defects(g: SimplicialGraph, cover: NonSplitCover) -> list[str]:
 
 
 def verify_cover(g: SimplicialGraph, cover: NonSplitCover) -> bool:
-    """True iff every two-edge segment is covered and every cycle checks out."""
+    """True iff ``cover_defects`` finds nothing wrong with ``cover``."""
     return not cover_defects(g, cover)
 
 

@@ -8,6 +8,7 @@ these.
 
 from __future__ import annotations
 
+import random
 import string
 from itertools import combinations
 
@@ -158,3 +159,45 @@ def oracle_hamiltonian_accepts(g: SimplicialGraph, seq) -> bool:
         return False
     edge_set = {frozenset(e) for e in g.edges}
     return all(frozenset((seq[i], seq[(i + 1) % len(seq)])) in edge_set for i in range(len(seq)))
+
+
+# ------------------------------------------------------------ large graphs
+
+
+def _scale_edges(family: str, n: int, rng):
+    """Edges on 0..n-1 of one cut-heavy family."""
+    if family == "path":
+        return [(i, i + 1) for i in range(n - 1)]
+    if family == "random-tree":
+        return [(rng.randrange(i), i) for i in range(1, n)]
+    if family == "k4-chain":
+        # K4 blocks, consecutive blocks sharing one cut vertex; n = 3k + 1
+        return [e for base in range(0, n - 3, 3) for e in combinations(range(base, base + 4), 2)]
+    if family == "cactus":
+        # cycles and cliques of 3-5 vertices, each glued at a random earlier vertex
+        edges, size = [], 1
+        while size < n:
+            k = min(rng.randint(3, 5), n - size + 1)
+            members = [rng.randrange(size), *range(size, size + k - 1)]
+            size += k - 1
+            if k == 2:
+                edges.append(tuple(members))
+            elif rng.random() < 0.5:
+                edges.extend(zip(members, members[1:] + members[:1]))
+            else:
+                edges.extend(combinations(members, 2))
+        return edges
+    raise ValueError(family)
+
+
+def scale_graph(family: str, n: int, seed: int) -> SimplicialGraph:
+    """A seeded cut-heavy graph whose vertex names are a random permutation.
+
+    Shuffled names make lexicographic tie-breaks unrelated to the structure.
+    """
+    rng = random.Random(f"{family}/{n}/{seed}")
+    perm = list(range(n))
+    rng.shuffle(perm)
+    edges = [(f"v{perm[u]:04d}", f"v{perm[v]:04d}") for u, v in _scale_edges(family, n, rng)]
+    rng.shuffle(edges)
+    return SimplicialGraph.from_edges(edges)

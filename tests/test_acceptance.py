@@ -26,6 +26,7 @@ from raagsplit import (
     SimplicialGraph,
     ZSplitWitness,
     abelianization,
+    amalgam_defects,
     build_j0,
     check_euler,
     connected_components,
@@ -118,14 +119,7 @@ def sweep36():
             report = splits_over_z(g)
             if report.z_split == Z_SPLIT_YES:
                 w = report.witness
-                s1, s2, allv = set(w.side1), set(w.side2), set(g.vertices)
-                sound = (
-                    isinstance(w, ZSplitWitness)
-                    and s1 | s2 == allv
-                    and s1 & s2 == {w.vertex}
-                    and s1 != allv
-                    and s2 != allv
-                )
+                sound = isinstance(w, ZSplitWitness) and not amalgam_defects(g, w)
             else:
                 sound = isinstance(report.witness, NonSplitCover) and verify_cover(
                     g, report.witness

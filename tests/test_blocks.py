@@ -1,3 +1,4 @@
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 
@@ -12,7 +13,7 @@ from raagsplit import (
 )
 from raagsplit.cli import labeled_graphs
 
-from conftest import graphs, oracle_cut_vertices, oracle_is_biconnected
+from conftest import graphs, oracle_cut_vertices, oracle_is_biconnected, scale_graph
 
 
 class TestCutVertices:
@@ -169,3 +170,25 @@ class TestBlockTree:
         for bid, v in bt.black:
             for wid, blk in bt.white:
                 assert ((bid, wid) in bt.edges) == (v in blk)
+
+
+@pytest.mark.parametrize(
+    "family,n,seed",
+    [
+        ("path", 300, 1),
+        ("random-tree", 2000, 1),
+        ("random-tree", 700, 2),
+        ("k4-chain", 1000, 1),
+        ("cactus", 2000, 1),
+        ("cactus", 500, 2),
+    ],
+)
+def test_block_tree_matches_networkx_at_scale(family, n, seed):
+    g = scale_graph(family, n, seed)
+    ref = nx.Graph(g.edges)
+    bt = block_tree(g)
+    assert sorted(blk for _, blk in bt.white) == sorted(
+        tuple(sorted(c)) for c in nx.biconnected_components(ref)
+    )
+    assert sorted(v for _, v in bt.black) == sorted(nx.articulation_points(ref))
+    assert bt.edges == {(bid, wid) for bid, v in bt.black for wid, blk in bt.white if v in blk}

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from itertools import combinations
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from raagsplit.cli import main
 from raagsplit.serialize import parse_graph6
 
-from conftest import graphs
+from conftest import graphs, scale_graph
 
 STAR = "c l1\nc l2\nc l3\n"
 TWO_TRIANGLES = "a b\na c\nb c\nc d\nd e\nd f\ne f\n"
@@ -239,6 +240,28 @@ class TestExportDot:
             capsys, ["export-dot", "-", "--stage=j0"], stdin="a b\n", monkeypatch=monkeypatch
         )
         assert code == 4
+
+
+class TestGoldenAtScale:
+    """Pinned J0 bytes on a 300-vertex cactus whose blocks hold up to four cut vertices.
+
+    The digests fix the ``e<i>`` numbering around blocks with several cut
+    vertices, which the small fixtures never exercise.
+    """
+
+    DIGESTS = {
+        "json": "c1890558bdb220afec13dc704cbb4628a0f57f5b1d19a4e991cf4baa1ccb556b",
+        "dot": "ccf91e53a7abe1bf6cbe4c020cc47d8664caf6c03fd99c49333ade3c9c514a77",
+    }
+
+    @pytest.mark.parametrize("fmt", ["json", "dot"])
+    def test_j0_digest(self, capsys, tmp_path, fmt):
+        g = scale_graph("cactus", 300, 1)
+        path = tmp_path / "cactus.txt"
+        path.write_text("".join(f"{u} {v}\n" for u, v in g.edges))
+        assert main(["jsj", str(path), "--stage=j0", f"--format={fmt}"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[fmt]
 
 
 # ------------------------------------------------------------------- graph6

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from raagsplit import (
-    CapacityError,
     GraphError,
     ParseError,
     SimplicialGraph,
@@ -18,6 +17,8 @@ from raagsplit import (
     two_edge_segments,
     verify_hamiltonian_cycle,
 )
+
+from raagsplit.cli import main
 
 from conftest import (
     graphs,
@@ -70,6 +71,15 @@ class TestParse:
     def test_constructor_rejects_self_loop(self):
         with pytest.raises(GraphError):
             SimplicialGraph(["a"], [("a", "a")])
+
+    @pytest.mark.parametrize(
+        "vertices,edges",
+        [("ab", [5]), ([["a"]], []), (["a"], [(["a"], "a")])],
+        ids=["non-pair edge", "unhashable vertex", "unhashable endpoint"],
+    )
+    def test_constructor_raises_graph_error_on_malformed_input(self, vertices, edges):
+        with pytest.raises(GraphError):
+            SimplicialGraph(vertices, edges)
 
 
 class TestInducedSubgraph:
@@ -192,10 +202,18 @@ class TestCliqueCounts:
     def test_empty_graph(self):
         assert clique_counts(SimplicialGraph()) == [1]
 
-    def test_capacity_cap(self):
-        names = [f"v{i}" for i in range(65)]
-        with pytest.raises(CapacityError):
-            clique_counts(SimplicialGraph(names))
+    def test_hundred_vertex_path(self, capsys, tmp_path):
+        edges = [(f"v{i:03d}", f"v{i + 1:03d}") for i in range(99)]
+        assert clique_counts(SimplicialGraph.from_edges(edges)) == [1, 100, 99]
+        path = tmp_path / "path100.txt"
+        path.write_text("".join(f"{u} {v}\n" for u, v in edges))
+        assert main(["check", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "reduced pass",
+            "euler pass",
+            "coverage pass",
+            "abelianization pass rank=100 torsion=[]",
+        ]
 
     @given(graphs(max_vertices=7))
     def test_matches_subset_enumeration(self, g):

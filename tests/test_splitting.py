@@ -7,6 +7,7 @@ from raagsplit import (
     SimplicialGraph,
     SmallCaseWitness,
     ZSplitWitness,
+    amalgam_defects,
     cover_defects,
     induced_subgraph,
     nonsplit_cover,
@@ -171,6 +172,36 @@ class TestVerifyCover:
     def test_never_raises_on_garbage(self, triangle):
         junk = NonSplitCover(entries={("x", "y", "z"): (("x",), ("x", "y"))})
         assert verify_cover(triangle, junk) is False
+
+
+class TestAmalgamDefects:
+    def test_generated_witness_accepted(self, two_triangles):
+        assert amalgam_defects(two_triangles, z_split_witness(two_triangles)) == []
+
+    def test_triangle_amalgam_rejected(self, triangle):
+        # covers the triangle and meets in b, but the edge a-c crosses the sides
+        w = ZSplitWitness(side1=("a", "b"), side2=("b", "c"), vertex="b")
+        assert amalgam_defects(triangle, w) == ["edge ('a', 'c') joins the sides away from 'b'"]
+
+    def test_whole_graph_side_rejected(self, path3):
+        w = ZSplitWitness(side1=("a", "b", "c"), side2=("b",), vertex="b")
+        assert "a side is the whole graph" in amalgam_defects(path3, w)
+
+
+class TestCoverPrecondition:
+    def test_empty_cover_of_disconnected_graph_rejected(self):
+        g = SimplicialGraph("abc", [("a", "b")])
+        assert two_edge_segments(g) == []
+        assert not verify_cover(g, NonSplitCover())
+
+    def test_union_of_two_triangle_covers_rejected(self, triangle):
+        other = parse_graph("d e\ne f\nd f")
+        g = SimplicialGraph("abcdef", triangle.edges + other.edges)
+        union = NonSplitCover(
+            entries={**nonsplit_cover(triangle).entries, **nonsplit_cover(other).entries}
+        )
+        assert set(union.entries) == set(two_edge_segments(g))
+        assert cover_defects(g, union) == ["graph is not connected with at least three vertices"]
 
 
 class TestSplitsOverZ:
