@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import AbstractSet, Container, Iterable, Mapping, Optional, Sequence
 
 
 class GraphError(ValueError):
@@ -187,20 +187,29 @@ def connected_components(g: SimplicialGraph) -> list[tuple[str, ...]]:
     return comps
 
 
-def _bfs_parents(g: SimplicialGraph, start: str, avoid: Optional[str] = None) -> dict[str, Optional[str]]:
-    """Breadth-first parents from ``start`` in g minus ``avoid``.
+def _bfs_parents(
+    g: SimplicialGraph, start: str, avoid: str, targets: Iterable[str]
+) -> dict[str, Optional[str]]:
+    """Breadth-first parents from ``start`` in g minus ``avoid``, up to the last target.
 
     Neighbors expand in lexicographic order, so the parent chain of any reached
     vertex spells the lexicographically least shortest path from ``start``.
+    A parent is set once, when its vertex is first found, so stopping as soon
+    as every target is found leaves each target the chain a full search would
+    give; the cost is bound by the ball around ``start`` out to the farthest
+    target.  An unreachable target makes the search exhaust the component.
     """
     parents: dict[str, Optional[str]] = {start: None}
+    wanted = set(targets) - {start}
+    adj = g._adj
     queue = deque([start])
-    while queue:
+    while queue and wanted:
         x = queue.popleft()
-        for y in g.neighbors(x):
+        for y in adj[x]:
             if y == avoid or y in parents:
                 continue
             parents[y] = x
+            wanted.discard(y)
             queue.append(y)
     return parents
 
@@ -216,7 +225,7 @@ def shortest_path_avoiding(g: SimplicialGraph, u: str, w: str, v: str) -> Option
             raise GraphError(f"vertex {x!r} not in graph")
     if len({u, w, v}) != 3:
         raise GraphError("u, w, v must be three distinct vertices")
-    parents = _bfs_parents(g, u, avoid=v)
+    parents = _bfs_parents(g, u, v, (w,))
     if w not in parents:
         return None
     path = [w]
@@ -226,23 +235,28 @@ def shortest_path_avoiding(g: SimplicialGraph, u: str, w: str, v: str) -> Option
     return path
 
 
+def _is_hamiltonian_cycle(
+    adjacent: Mapping[str, Container[str]], members: AbstractSet[str], cycle: Sequence[str]
+) -> bool:
+    """True iff ``cycle`` visits each of ``members`` exactly once along ``adjacent`` edges.
+
+    ``adjacent`` maps every vertex of the host graph to its neighbours, so the
+    cycle is checked against the subgraph the host induces on ``members``
+    without building it.
+    """
+    seq = list(cycle)
+    if len(seq) < 3 or len(seq) != len(members) or set(seq) != members:
+        return False
+    return all(b in adjacent[a] for a, b in zip(seq, seq[1:] + seq[:1]))
+
+
 def verify_hamiltonian_cycle(g: SimplicialGraph, cycle: Sequence[str]) -> bool:
     """True iff ``cycle`` visits every vertex of g exactly once along edges.
 
     Invalid witnesses (wrong length, repeats, foreign vertices, missing edges)
     return False; this never raises.
     """
-    seq = list(cycle)
-    if len(seq) < 3 or len(seq) != len(g.vertices):
-        return False
-    if len(set(seq)) != len(seq):
-        return False
-    if any(x not in g for x in seq):
-        return False
-    for a, b in zip(seq, seq[1:] + seq[:1]):
-        if b not in g.neighbors(a):
-            return False
-    return True
+    return _is_hamiltonian_cycle(g._adj, set(g.vertices), cycle)
 
 
 def clique_counts(g: SimplicialGraph) -> list[int]:

@@ -18,10 +18,10 @@ from .graphs import (
     GraphError,
     SimplicialGraph,
     _bfs_parents,
+    _is_hamiltonian_cycle,
     connected_components,
     induced_subgraph,
     two_edge_segments,
-    verify_hamiltonian_cycle,
 )
 
 Z_SPLIT_YES = "yes"
@@ -101,7 +101,13 @@ def z_split_witness(g: SimplicialGraph) -> ZSplitWitness:
     """
     if len(g.vertices) < 3:
         raise GraphError("amalgam witnesses need at least three vertices")
-    cuts = cut_vertices(g)
+    return _z_split_witness(g, cut_vertices(g), connected_components(g))
+
+
+def _z_split_witness(
+    g: SimplicialGraph, cuts: tuple[str, ...], comps: list[tuple[str, ...]]
+) -> ZSplitWitness:
+    """``z_split_witness`` from the graph's sorted cut vertices and its components."""
     allv = set(g.vertices)
     if cuts:
         v = cuts[0]
@@ -109,7 +115,6 @@ def z_split_witness(g: SimplicialGraph) -> ZSplitWitness:
         side1 = tuple(sorted(set(comp) | {v}))
         side2 = tuple(sorted(allv - set(comp)))
         return ZSplitWitness(side1=side1, side2=side2, vertex=v)
-    comps = connected_components(g)
     if len(comps) == 1:
         raise GraphError("graph is biconnected; no Z-splitting exists")
     first = comps[0]
@@ -135,13 +140,23 @@ def nonsplit_cover(g: SimplicialGraph) -> NonSplitCover:
     """
     if len(g.vertices) < 3 or not is_biconnected(g):
         raise GraphError("Hamiltonian covers exist for biconnected graphs on >= 3 vertices")
+    return _nonsplit_cover(g)
+
+
+def _nonsplit_cover(g: SimplicialGraph) -> NonSplitCover:
+    """``nonsplit_cover`` for a graph already known to be biconnected on >= 3 vertices.
+
+    One breadth-first search of g - v per neighbour u of v, stopped once it
+    has reached every later neighbour w, so the cost is the balls searched
+    plus the size of the cover.
+    """
     entries: dict[tuple[str, str, str], tuple[tuple[str, ...], tuple[str, ...]]] = {}
     for v in sorted(g.vertices):
         nv = g.neighbors(v)
         for i, u in enumerate(nv):
             if i + 1 == len(nv):
                 break
-            parents = _bfs_parents(g, u, avoid=v)
+            parents = _bfs_parents(g, u, v, nv[i + 1 :])
             for w in nv[i + 1 :]:
                 path = [w]
                 while parents[path[-1]] is not None:
@@ -179,10 +194,13 @@ def cover_defects(g: SimplicialGraph, cover: NonSplitCover) -> list[str]:
     """All reasons ``cover`` fails to certify g; empty means the cover is valid.
 
     A cover certifies "no Z-splitting" only on a connected graph with at
-    least three vertices, so any other graph is a defect by itself.
+    least three vertices, so any other graph is a defect by itself.  Each
+    cycle is checked against g's adjacency, built once per call, so the cost
+    is O(n + m) plus the size of the cover; no subgraph is built per entry.
     """
     if len(g.vertices) < 3 or len(connected_components(g)) != 1:
         return ["graph is not connected with at least three vertices"]
+    adjacent = {x: set(g.neighbors(x)) for x in g.vertices}
     defects = []
     segments = set(two_edge_segments(g))
     for seg in sorted(segments):
@@ -194,16 +212,17 @@ def cover_defects(g: SimplicialGraph, cover: NonSplitCover) -> list[str]:
         if seg not in segments:
             defects.append(f"{label}: not a two-edge segment of the graph")
             continue
-        if any(x not in g for x in delta):
+        span = set(delta)
+        if not span <= adjacent.keys():
             defects.append(f"{label}: span leaves the graph")
             continue
         if len(delta) < 3:
             defects.append(f"{label}: span has fewer than three vertices")
             continue
-        if not {u, v, w} <= set(delta):
+        if not {u, v, w} <= span:
             defects.append(f"{label}: span does not contain the segment")
             continue
-        if not verify_hamiltonian_cycle(induced_subgraph(g, delta), cycle):
+        if not _is_hamiltonian_cycle(adjacent, span, cycle):
             defects.append(f"{label}: cycle is not Hamiltonian in the span")
     return defects
 
@@ -226,14 +245,16 @@ def splits_over_z(g: SimplicialGraph) -> SplitReport:
         raise GraphError("splitting verdicts need a nonempty graph")
     if n == 1:
         return SplitReport(free_split=False, z_split=Z_SPLIT_NO, witness=SmallCaseWitness("Z"))
-    disconnected = len(connected_components(g)) > 1
+    comps = connected_components(g)
+    disconnected = len(comps) > 1
     if n == 2:
         tag = "F2" if disconnected else "Z^2"
         return SplitReport(
             free_split=disconnected, z_split=Z_SPLIT_HNN_SMALL_CASE, witness=SmallCaseWitness(tag)
         )
-    if is_biconnected(g):
-        return SplitReport(free_split=False, z_split=Z_SPLIT_NO, witness=nonsplit_cover(g))
+    cuts = cut_vertices(g)  # the one lowpoint scan: biconnected iff connected without cuts
+    if not disconnected and not cuts:
+        return SplitReport(free_split=False, z_split=Z_SPLIT_NO, witness=_nonsplit_cover(g))
     return SplitReport(
-        free_split=disconnected, z_split=Z_SPLIT_YES, witness=z_split_witness(g)
+        free_split=disconnected, z_split=Z_SPLIT_YES, witness=_z_split_witness(g, cuts, comps)
     )

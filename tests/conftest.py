@@ -165,7 +165,7 @@ def oracle_hamiltonian_accepts(g: SimplicialGraph, seq) -> bool:
 
 
 def _scale_edges(family: str, n: int, rng):
-    """Edges on 0..n-1 of one cut-heavy family."""
+    """Edges on 0..n-1 of one cut-heavy or biconnected family."""
     if family == "path":
         return [(i, i + 1) for i in range(n - 1)]
     if family == "random-tree":
@@ -187,11 +187,32 @@ def _scale_edges(family: str, n: int, rng):
             else:
                 edges.extend(combinations(members, 2))
         return edges
+    if family == "cycle":
+        return [(i, (i + 1) % n) for i in range(n)]
+    if family == "grid":
+        cols = 20
+        rows = n // cols
+        right = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+        down = [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+        return right + down
+    if family == "ear":
+        # a seed cycle grown by open ears of fresh vertices between old vertices of degree < 4
+        start = rng.randint(5, 20)
+        edges, degree = [(i, (i + 1) % start) for i in range(start)], [2] * start
+        while len(degree) < n:
+            a, b = rng.sample([v for v, d in enumerate(degree) if d < 4], 2)
+            inner = min(rng.randint(1, 20), n - len(degree))
+            chain = [a, *range(len(degree), len(degree) + inner), b]
+            edges.extend(zip(chain, chain[1:]))
+            degree[a] += 1
+            degree[b] += 1
+            degree.extend([2] * inner)
+        return edges
     raise ValueError(family)
 
 
 def scale_graph(family: str, n: int, seed: int) -> SimplicialGraph:
-    """A seeded cut-heavy graph whose vertex names are a random permutation.
+    """A seeded graph of one family whose vertex names are a random permutation.
 
     Shuffled names make lexicographic tie-breaks unrelated to the structure.
     """

@@ -243,10 +243,12 @@ class TestExportDot:
 
 
 class TestGoldenAtScale:
-    """Pinned J0 bytes on a 300-vertex cactus whose blocks hold up to four cut vertices.
+    """Pinned output bytes on seeded 300-vertex graphs.
 
-    The digests fix the ``e<i>`` numbering around blocks with several cut
-    vertices, which the small fixtures never exercise.
+    The J0 digests, on a cactus whose blocks hold up to four cut vertices, fix
+    the ``e<i>`` numbering around blocks with several cut vertices, which the
+    small fixtures never exercise.  The cover digests fix the Hamiltonian
+    cover of a cycle, a grid and an ear graph.
     """
 
     DIGESTS = {
@@ -262,6 +264,24 @@ class TestGoldenAtScale:
         assert main(["jsj", str(path), "--stage=j0", f"--format={fmt}"]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[fmt]
+
+    COVER_DIGESTS = {
+        ("cycle", "split"): "397efc0ea03b0ad4aef6936561163886d82eca73a77790c70eb64884a47fddc0",
+        ("cycle", "witness"): "ebf93f92b190b2d6e137d12b826ea1d978f47d9cf9156851f99ae7893c3957c6",
+        ("grid", "split"): "44417383dd4e5f217d3582ea02718f690aba5fa30d8b95ec59d42fb63ee8cb4d",
+        ("grid", "witness"): "3fdde5c8217aaab9a0cb7e4caa6d809d76809e4631fd934451f4fc58b3e83eca",
+        ("ear", "split"): "b33864f3916e05844aee29c589c5fb823b6f244a690b794b6b38108a638b8f7b",
+        ("ear", "witness"): "42671a9a7ec9ffda3812e6ae64a1715ff78fa469ab10e637656ef69b594a2d87",
+    }
+
+    @pytest.mark.parametrize("family, cmd", sorted(COVER_DIGESTS))
+    def test_cover_digest(self, capsys, tmp_path, family, cmd):
+        g = scale_graph(family, 300, 1)
+        path = tmp_path / f"{family}.txt"
+        path.write_text("".join(f"{u} {v}\n" for u, v in g.edges))
+        assert main([cmd, str(path)]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == self.COVER_DIGESTS[(family, cmd)]
 
 
 # ------------------------------------------------------------------- graph6

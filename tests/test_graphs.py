@@ -1,3 +1,4 @@
+from collections import deque
 from itertools import permutations
 
 import pytest
@@ -19,6 +20,7 @@ from raagsplit import (
 )
 
 from raagsplit.cli import main
+from raagsplit.graphs import _bfs_parents
 
 from conftest import (
     graphs,
@@ -160,6 +162,51 @@ class TestShortestPathAvoiding:
             assert len(path) - 1 == expected
             assert path[0] == u and path[-1] == w and v not in path
             assert all(b in g.neighbors(a) for a, b in zip(path, path[1:]))
+
+
+def exhaustive_bfs_parents(g, start, avoid):
+    """Lexicographic breadth-first parents of g minus ``avoid``, never stopped early."""
+    parents = {start: None}
+    queue = deque([start])
+    while queue:
+        x = queue.popleft()
+        for y in sorted(g.neighbors(x)):
+            if y != avoid and y not in parents:
+                parents[y] = x
+                queue.append(y)
+    return parents
+
+
+def parent_chain(parents, w):
+    chain = [w]
+    while parents[chain[-1]] is not None:
+        chain.append(parents[chain[-1]])
+    return chain[::-1]
+
+
+class TestEarlyStoppingSearch:
+    """Stopping at the last target leaves every target the path a full search finds."""
+
+    @given(graphs(min_vertices=3, max_vertices=6), st.data())
+    @settings(max_examples=300)
+    def test_shortest_path_matches_full_search(self, g, data):
+        u, w, v = data.draw(st.permutations(g.vertices))[:3]
+        full = exhaustive_bfs_parents(g, u, v)
+        expected = parent_chain(full, w) if w in full else None
+        assert shortest_path_avoiding(g, u, w, v) == expected
+
+    @given(graphs(min_vertices=3, max_vertices=6), st.data())
+    @settings(max_examples=300)
+    def test_every_target_chain_matches_full_search(self, g, data):
+        u, v = data.draw(st.permutations(g.vertices))[:2]
+        others = [x for x in g.vertices if x not in (u, v)]
+        targets = data.draw(st.lists(st.sampled_from(others), unique=True))
+        full = exhaustive_bfs_parents(g, u, v)
+        parents = _bfs_parents(g, u, v, targets)
+        for w in targets:
+            assert (w in parents) == (w in full)
+            if w in full:
+                assert parent_chain(parents, w) == parent_chain(full, w)
 
 
 class TestHamiltonianCycleCheck:

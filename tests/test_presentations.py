@@ -3,6 +3,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from raagsplit import (
     GraphError,
@@ -13,14 +15,23 @@ from raagsplit import (
     check_euler,
     connected_components,
     emit_presentation,
+    euler_characteristic,
     free_reduce,
+    induced_subgraph,
     jsj,
     parse_graph,
     raag_presentation,
     smith_normal_form,
 )
 from raagsplit.cli import labeled_graphs
-from raagsplit.jsj import GoGEdge, GraphOfGroups
+from raagsplit.jsj import CyclicGroup, GoGEdge, GoGVertex, GraphOfGroups, RaagGroup
+
+from conftest import graphs
+
+
+def windmill(k: int):
+    """k triangles sharing the hub h."""
+    return parse_graph("".join(f"h a{i}\nh b{i}\na{i} b{i}\n" for i in range(k)))
 
 
 # ------------------------------------------------------------ relator algebra
@@ -166,6 +177,29 @@ class TestEmitPresentation:
                     emit_presentation(jsj(g)), raag_presentation(g)
                 )
 
+    @given(graphs(min_vertices=3, max_vertices=7, connected=True))
+    @settings(max_examples=60)
+    def test_commutators_match_neighbour_scan(self, g):
+        # each RaagGroup vertex's commutators, read off sorted neighbour lists
+        for gog in (build_j0(g), jsj(g)):
+            p = emit_presentation(gog)
+            index = {name: i for i, name in enumerate(p.generators)}
+            expected = []
+            for v in gog.vertices:
+                if isinstance(v.group, RaagGroup):
+                    span = set(v.group.vertices)
+                    for a in sorted(span):
+                        for b in g.neighbors(a):
+                            if b > a and b in span:
+                                expected.append(((index[a], 1), (index[b], 1), (index[a], -1), (index[b], -1)))
+            assert list(p.relators[: len(expected)]) == expected
+
+    def test_windmill_round_trip(self):
+        g = windmill(40)
+        p = emit_presentation(jsj(g))
+        assert presentations_match(p, raag_presentation(g))
+        assert abelianization(p) == (81, [])
+
     def test_disconnected_base_rejected(self, triangle):
         gog = build_j0(triangle)
         orphan = GraphOfGroups(
@@ -211,6 +245,33 @@ class TestChecks:
 
     def test_euler_also_on_initial_stage(self, two_triangles):
         assert check_euler(two_triangles, build_j0(two_triangles))
+
+    def test_euler_windmill(self):
+        g = windmill(40)
+        assert check_euler(g, jsj(g)) and check_euler(g, build_j0(g))
+
+    @given(graphs(min_vertices=3, max_vertices=6), st.data())
+    @settings(max_examples=100)
+    def test_euler_matches_induced_subgraphs_on_any_spans(self, g, data):
+        # spans may overlap in edges, unlike blocks, so an edge can belong to several
+        subsets = st.lists(st.sampled_from(g.vertices), min_size=1, unique=True)
+        spans = data.draw(st.lists(subsets, min_size=1, max_size=4))
+        vertices = tuple(
+            GoGVertex(id=f"w{i}", color="white", group=RaagGroup(tuple(span)))
+            for i, span in enumerate(spans)
+        ) + (GoGVertex(id="b", color="black", group=CyclicGroup(g.vertices[0])),)
+        gog = GraphOfGroups(vertices=vertices, edges=(), source=g)
+        total = sum(euler_characteristic(induced_subgraph(g, span)) for span in spans)
+        assert check_euler(g, gog) == (euler_characteristic(g) == total)
+
+    def test_euler_rejects_span_outside_host(self, triangle):
+        gog = GraphOfGroups(
+            vertices=(GoGVertex(id="w", color="white", group=RaagGroup(("a", "zz"))),),
+            edges=(),
+            source=triangle,
+        )
+        with pytest.raises(GraphError, match="'zz' not in host graph"):
+            check_euler(triangle, gog)
 
     def test_coverage_fixtures(self, two_triangles, star):
         assert check_coverage(two_triangles, jsj(two_triangles))

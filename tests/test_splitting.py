@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from raagsplit import (
     GraphError,
@@ -8,8 +9,10 @@ from raagsplit import (
     SmallCaseWitness,
     ZSplitWitness,
     amalgam_defects,
+    connected_components,
     cover_defects,
     induced_subgraph,
+    is_biconnected,
     nonsplit_cover,
     parse_graph,
     shortest_path_avoiding,
@@ -172,6 +175,143 @@ class TestVerifyCover:
     def test_never_raises_on_garbage(self, triangle):
         junk = NonSplitCover(entries={("x", "y", "z"): (("x",), ("x", "y"))})
         assert verify_cover(triangle, junk) is False
+
+
+def induced_cover_defects(g: SimplicialGraph, cover):
+    """``cover_defects`` as first written, kept as its reference: one induced subgraph per entry."""
+    if len(g.vertices) < 3 or len(connected_components(g)) != 1:
+        return ["graph is not connected with at least three vertices"]
+    defects = []
+    segments = set(two_edge_segments(g))
+    for seg in sorted(segments):
+        if seg not in cover.entries:
+            defects.append(f"missing segment {seg}")
+    for seg, (delta, cycle) in sorted(cover.entries.items()):
+        u, v, w = seg
+        label = f"entry {seg}"
+        if seg not in segments:
+            defects.append(f"{label}: not a two-edge segment of the graph")
+            continue
+        if any(x not in g for x in delta):
+            defects.append(f"{label}: span leaves the graph")
+            continue
+        if len(delta) < 3:
+            defects.append(f"{label}: span has fewer than three vertices")
+            continue
+        if not {u, v, w} <= set(delta):
+            defects.append(f"{label}: span does not contain the segment")
+            continue
+        if not verify_hamiltonian_cycle(induced_subgraph(g, delta), cycle):
+            defects.append(f"{label}: cycle is not Hamiltonian in the span")
+    return defects
+
+
+def detour_entries(g):
+    """Each segment's shortest detour around its middle vertex, where one exists."""
+    entries = {}
+    for u, v, w in two_edge_segments(g):
+        path = shortest_path_avoiding(g, u, w, v)
+        if path is not None:
+            entries[(u, v, w)] = (tuple(sorted({v, *path})), (v, *path))
+    return entries
+
+
+MUTATIONS = (
+    "duplicate span vertex",
+    "repeat cycle vertex",
+    "add outside vertex",
+    "shuffle cycle",
+    "drop cycle vertex",
+    "rotate",
+    "reverse",
+    "drop entry",
+    "foreign entry",
+)
+
+
+def mutate(g, entries, data):
+    """Apply one drawn corruption (or harmless rewrite) to one drawn entry."""
+    key = data.draw(st.sampled_from(sorted(entries)))
+    delta, cycle = entries[key]
+    kind = data.draw(st.sampled_from(MUTATIONS))
+    spot = st.integers(min_value=0, max_value=len(cycle) - 1)
+    if kind == "duplicate span vertex":
+        delta = delta + (data.draw(st.sampled_from(delta)),)
+    elif kind == "repeat cycle vertex":
+        i, j = data.draw(spot), data.draw(spot)
+        cycle = cycle[:i] + (cycle[j],) + cycle[i + 1 :]
+    elif kind == "add outside vertex":
+        x = data.draw(st.sampled_from(sorted(set(g.vertices) - set(delta)) + ["zz"]))
+        i = data.draw(spot)
+        cycle = cycle[:i] + (x,) + cycle[i:]
+        if data.draw(st.booleans()):
+            delta = tuple(sorted({*delta, x}))
+    elif kind == "shuffle cycle":
+        cycle = tuple(data.draw(st.permutations(cycle)))
+    elif kind == "drop cycle vertex":
+        i = data.draw(spot)
+        cycle = cycle[:i] + cycle[i + 1 :]
+    elif kind == "rotate":
+        i = data.draw(spot)
+        cycle = cycle[i:] + cycle[:i]
+    elif kind == "reverse":
+        cycle = cycle[::-1]
+    elif kind == "drop entry":
+        del entries[key]
+        return
+    else:
+        key = (key[0], key[1], "zz")
+    entries[key] = (delta, cycle)
+
+
+class TestCoverDefectsDifferential:
+    """``cover_defects`` against its first formulation, which built an induced subgraph per entry."""
+
+    @given(graphs(min_vertices=3, max_vertices=7, connected=True), st.data())
+    @settings(max_examples=300)
+    def test_matches_induced_subgraph_formulation(self, g, data):
+        entries = detour_entries(g)
+        for _ in range(data.draw(st.integers(min_value=0, max_value=3))):
+            if entries:
+                mutate(g, entries, data)
+        cover = NonSplitCover(entries=entries)
+        assert cover_defects(g, cover) == induced_cover_defects(g, cover)
+
+    @given(graphs(min_vertices=3, max_vertices=7, connected=True), st.data())
+    @settings(max_examples=60)
+    def test_rotated_and_reversed_cycles_still_certify(self, g, data):
+        if not is_biconnected(g):
+            return
+        entries = {}
+        for seg, (delta, cycle) in nonsplit_cover(g).entries.items():
+            i = data.draw(st.integers(min_value=0, max_value=len(cycle) - 1))
+            cycle = cycle[i:] + cycle[:i]
+            entries[seg] = (delta, cycle[::-1] if data.draw(st.booleans()) else cycle)
+        assert cover_defects(g, NonSplitCover(entries=entries)) == []
+
+    NOT_HAMILTONIAN = ["entry ('a', 'b', 'c'): cycle is not Hamiltonian in the span"]
+
+    @pytest.mark.parametrize(
+        "delta, cycle, expected",
+        [
+            (("a", "b", "c", "d", "d"), ("b", "a", "d", "c"), []),  # spans are vertex sets
+            (("a", "b", "c", "d"), ("b", "a", "d", "a"), NOT_HAMILTONIAN),
+            (("a", "b", "c", "d"), ("b", "a", "d", "c", "zz"), NOT_HAMILTONIAN),
+            (("a", "b", "c", "d", "zz"), ("b", "a", "d", "c"), ["entry ('a', 'b', 'c'): span leaves the graph"]),
+            (("a", "b", "c", "d"), ("b", "d", "a", "c"), NOT_HAMILTONIAN),  # b-d is no edge
+            (("a", "b", "c", "d"), ("b", "a", "d"), NOT_HAMILTONIAN),
+            (("a", "b", "c"), ("a", "b", "c"), NOT_HAMILTONIAN),  # no closing edge c-a
+            (("a", "b", "c", "d"), ("a", "d", "c", "b"), []),
+            (("a", "b", "c", "d"), ("c", "d", "a", "b"), []),
+            (("a", "b"), ("b", "a"), ["entry ('a', 'b', 'c'): span has fewer than three vertices"]),
+            (("a", "a", "b"), ("b", "a", "a"), ["entry ('a', 'b', 'c'): span does not contain the segment"]),
+        ],
+    )
+    def test_square_entry(self, square, delta, cycle, expected):
+        entries = dict(nonsplit_cover(square).entries)
+        entries[("a", "b", "c")] = (delta, cycle)
+        cover = NonSplitCover(entries=entries)
+        assert cover_defects(square, cover) == expected == induced_cover_defects(square, cover)
 
 
 class TestAmalgamDefects:
