@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import Iterable
 
 from .blocks import cut_vertices
 from .graphs import GraphError, SimplicialGraph, euler_characteristic
@@ -92,35 +93,10 @@ def _spanning_tree(gog: GraphOfGroups) -> set[str]:
     return tree
 
 
-def _raag_group_edges(g: SimplicialGraph, gog: GraphOfGroups) -> list[list[tuple[str, str]]]:
-    """The edges g induces on each ``RaagGroup`` span, aligned with ``gog.vertices``.
-
-    One pass over the sorted ``g.edges``, so every list is sorted too.  An
-    edge is offered only to the spans of whichever endpoint lies in fewer of
-    them; blocks share at most a cut vertex, so on a block decomposition a
-    cut vertex's edges cost no more than anyone else's.
-    """
-    spans = [
-        set(v.group.vertices) if isinstance(v.group, RaagGroup) else set() for v in gog.vertices
-    ]
-    holding: dict[str, list[int]] = {}
-    for i, span in enumerate(spans):
-        for x in span:
-            holding.setdefault(x, []).append(i)
-    foreign = holding.keys() - set(g.vertices)
-    if foreign:
-        raise GraphError(f"vertex {min(map(repr, foreign))} not in host graph")
-    edges: list[list[tuple[str, str]]] = [[] for _ in spans]
-    for e in g.edges:
-        a, b = e
-        in_a, in_b = holding.get(a), holding.get(b)
-        if in_a is None or in_b is None:
-            continue
-        fewer, other = (in_a, b) if len(in_a) <= len(in_b) else (in_b, a)
-        for i in fewer:
-            if other in spans[i]:
-                edges[i].append(e)
-    return edges
+def _span_edges(g: SimplicialGraph, members: Iterable[str]) -> list[tuple[str, str]]:
+    """The edges g induces on ``members``, sorted, read off the sorted neighbour lists."""
+    span = set(members)
+    return [(a, b) for a in sorted(span) for b in g.neighbors(a) if b > a and b in span]
 
 
 def emit_presentation(gog: GraphOfGroups) -> Presentation:
@@ -170,9 +146,10 @@ def emit_presentation(gog: GraphOfGroups) -> Presentation:
             symbol(v.id, x)
 
     relators: list[Word] = []
-    for v, edges in zip(gog.vertices, _raag_group_edges(gog.source, gog)):
-        for a, b in edges:
-            relators.append(_commutator(symbol(v.id, a), symbol(v.id, b)))
+    for v in gog.vertices:
+        if isinstance(v.group, RaagGroup):
+            for a, b in _span_edges(gog.source, v.group.vertices):
+                relators.append(_commutator(symbol(v.id, a), symbol(v.id, b)))
     for e in gog.edges:
         img0 = symbol(e.ends[0], e.inclusions[0])
         img1 = symbol(e.ends[1], e.inclusions[1])
@@ -286,8 +263,8 @@ def check_euler(g: SimplicialGraph, gog: GraphOfGroups) -> bool:
     zero.
     """
     total = sum(
-        euler_characteristic(SimplicialGraph(v.group.vertices, edges))
-        for v, edges in zip(gog.vertices, _raag_group_edges(g, gog))
+        euler_characteristic(SimplicialGraph(v.group.vertices, _span_edges(g, v.group.vertices)))
+        for v in gog.vertices
         if isinstance(v.group, RaagGroup)
     )
     return euler_characteristic(g) == total

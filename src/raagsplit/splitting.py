@@ -101,13 +101,11 @@ def z_split_witness(g: SimplicialGraph) -> ZSplitWitness:
     """
     if len(g.vertices) < 3:
         raise GraphError("amalgam witnesses need at least three vertices")
-    return _z_split_witness(g, cut_vertices(g), connected_components(g))
+    return _z_split_witness(g, cut_vertices(g))
 
 
-def _z_split_witness(
-    g: SimplicialGraph, cuts: tuple[str, ...], comps: list[tuple[str, ...]]
-) -> ZSplitWitness:
-    """``z_split_witness`` from the graph's sorted cut vertices and its components."""
+def _z_split_witness(g: SimplicialGraph, cuts: tuple[str, ...]) -> ZSplitWitness:
+    """``z_split_witness`` from the graph's sorted cut vertices."""
     allv = set(g.vertices)
     if cuts:
         v = cuts[0]
@@ -115,6 +113,7 @@ def _z_split_witness(
         side1 = tuple(sorted(set(comp) | {v}))
         side2 = tuple(sorted(allv - set(comp)))
         return ZSplitWitness(side1=side1, side2=side2, vertex=v)
+    comps = connected_components(g)
     if len(comps) == 1:
         raise GraphError("graph is biconnected; no Z-splitting exists")
     first = comps[0]
@@ -136,20 +135,12 @@ def nonsplit_cover(g: SimplicialGraph) -> NonSplitCover:
 
     For each two-edge segment u-v-w the shortest u-w path avoiding v closes up
     with the segment into a Hamiltonian cycle of the induced subgraph it spans;
-    biconnectivity guarantees the path exists.
+    biconnectivity guarantees the path exists.  One breadth-first search of
+    g - v per neighbour u of v, stopped once it has reached every later
+    neighbour w, so the cost is the balls searched plus the size of the cover.
     """
     if len(g.vertices) < 3 or not is_biconnected(g):
         raise GraphError("Hamiltonian covers exist for biconnected graphs on >= 3 vertices")
-    return _nonsplit_cover(g)
-
-
-def _nonsplit_cover(g: SimplicialGraph) -> NonSplitCover:
-    """``nonsplit_cover`` for a graph already known to be biconnected on >= 3 vertices.
-
-    One breadth-first search of g - v per neighbour u of v, stopped once it
-    has reached every later neighbour w, so the cost is the balls searched
-    plus the size of the cover.
-    """
     entries: dict[tuple[str, str, str], tuple[tuple[str, ...], tuple[str, ...]]] = {}
     for v in sorted(g.vertices):
         nv = g.neighbors(v)
@@ -245,16 +236,16 @@ def splits_over_z(g: SimplicialGraph) -> SplitReport:
         raise GraphError("splitting verdicts need a nonempty graph")
     if n == 1:
         return SplitReport(free_split=False, z_split=Z_SPLIT_NO, witness=SmallCaseWitness("Z"))
-    comps = connected_components(g)
-    disconnected = len(comps) > 1
+    disconnected = len(connected_components(g)) > 1
     if n == 2:
         tag = "F2" if disconnected else "Z^2"
         return SplitReport(
             free_split=disconnected, z_split=Z_SPLIT_HNN_SMALL_CASE, witness=SmallCaseWitness(tag)
         )
-    cuts = cut_vertices(g)  # the one lowpoint scan: biconnected iff connected without cuts
+    # biconnected iff connected without cuts; the amalgam witness reuses this lowpoint scan
+    cuts = cut_vertices(g)
     if not disconnected and not cuts:
-        return SplitReport(free_split=False, z_split=Z_SPLIT_NO, witness=_nonsplit_cover(g))
+        return SplitReport(free_split=False, z_split=Z_SPLIT_NO, witness=nonsplit_cover(g))
     return SplitReport(
-        free_split=disconnected, z_split=Z_SPLIT_YES, witness=_z_split_witness(g, cuts, comps)
+        free_split=disconnected, z_split=Z_SPLIT_YES, witness=_z_split_witness(g, cuts)
     )
