@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import GraphError, SimplicialGraph, connected_components
+from .graphs import GraphError, SimplicialGraph
 
 
 @dataclass(frozen=True)
@@ -22,16 +22,18 @@ class BlockTree:
     edges: frozenset[tuple[str, str]]               # (black id, white id)
 
 
-def _lowpoint_scan(g: SimplicialGraph) -> tuple[list[tuple[str, ...]], set[str]]:
-    """One iterative depth-first pass collecting blocks and cut vertices."""
+def _lowpoint_scan(g: SimplicialGraph) -> tuple[list[tuple[str, ...]], set[str], int]:
+    """One iterative depth-first pass collecting blocks, cut vertices and the component count."""
     disc: dict[str, int] = {}
     low: dict[str, int] = {}
     blocks: list[tuple[str, ...]] = []
     cuts: set[str] = set()
     counter = 0
+    components = 0
     for root in g.vertices:
         if root in disc:
             continue
+        components += 1  # each depth-first root starts a new connected component
         disc[root] = low[root] = counter
         counter += 1
         root_children = 0
@@ -75,12 +77,12 @@ def _lowpoint_scan(g: SimplicialGraph) -> tuple[list[tuple[str, ...]], set[str]]
                     cuts.add(u)
         if root_children > 1:
             cuts.add(root)
-    return blocks, cuts
+    return blocks, cuts, components
 
 
 def cut_vertices(g: SimplicialGraph) -> tuple[str, ...]:
     """Vertices whose removal increases the number of connected components."""
-    _, cuts = _lowpoint_scan(g)
+    _, cuts, _ = _lowpoint_scan(g)
     return tuple(sorted(cuts))
 
 
@@ -90,14 +92,8 @@ def is_biconnected(g: SimplicialGraph) -> bool:
         raise GraphError("biconnectivity is undefined for the empty graph")
     if len(g.vertices) < 2:
         return False
-    return len(connected_components(g)) == 1 and not cut_vertices(g)
-
-
-def _require_connected_pair(g: SimplicialGraph) -> None:
-    if len(g.vertices) < 2:
-        raise GraphError("bicomponents need at least two vertices")
-    if len(connected_components(g)) != 1:
-        raise GraphError("bicomponents are defined for connected graphs only")
+    _, cuts, components = _lowpoint_scan(g)
+    return components == 1 and not cuts
 
 
 def bicomponents(g: SimplicialGraph) -> list[tuple[str, ...]]:
@@ -106,15 +102,16 @@ def bicomponents(g: SimplicialGraph) -> list[tuple[str, ...]]:
     Every edge lies in exactly one block; two blocks share at most a cut
     vertex.  Bridges show up as two-vertex blocks.
     """
-    _require_connected_pair(g)
-    blocks, _ = _lowpoint_scan(g)
-    return sorted(blocks)
+    return [blk for _, blk in block_tree(g).white]
 
 
 def block_tree(g: SimplicialGraph) -> BlockTree:
     """The block tree: black cut-vertex nodes joined to the white blocks containing them."""
-    _require_connected_pair(g)
-    blocks, cuts = _lowpoint_scan(g)
+    if len(g.vertices) < 2:
+        raise GraphError("bicomponents need at least two vertices")
+    blocks, cuts, components = _lowpoint_scan(g)
+    if components != 1:
+        raise GraphError("bicomponents are defined for connected graphs only")
     white = tuple((f"blk{i}", blk) for i, blk in enumerate(sorted(blocks)))
     cut_id = {v: f"cut:{v}" for v in sorted(cuts)}
     black = tuple((bid, v) for v, bid in cut_id.items())

@@ -27,16 +27,11 @@ class ParseError(GraphError):
 
 
 _TOKEN_RE = re.compile(r"[A-Za-z0-9_]+\Z")
-_valid_tokens: set[str] = set()
 
 
 def _check_token(name: str) -> str:
-    if not isinstance(name, str):
+    if not isinstance(name, str) or not _TOKEN_RE.match(name):
         raise GraphError(f"invalid vertex name {name!r}")
-    if name not in _valid_tokens:
-        if not _TOKEN_RE.match(name):
-            raise GraphError(f"invalid vertex name {name!r}")
-        _valid_tokens.add(name)
     return name
 
 
@@ -93,12 +88,6 @@ class SimplicialGraph:
             return self._adj[v]
         except KeyError:
             raise GraphError(f"vertex {v!r} not in graph") from None
-
-    def has_edge(self, u: str, v: str) -> bool:
-        return u in self._adj and v in self._adj[u]
-
-    def degree(self, v: str) -> int:
-        return len(self.neighbors(v))
 
     def __contains__(self, v: str) -> bool:
         return v in self._adj

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 from .blocks import block_tree
-from .graphs import GraphError, SimplicialGraph, connected_components
+from .graphs import GraphError, SimplicialGraph
 
 
 @dataclass(frozen=True)
@@ -83,17 +83,14 @@ class GraphOfGroups:
         return total
 
 
-def _require_decomposable(g: SimplicialGraph) -> None:
-    if len(g.vertices) < 3:
-        raise GraphError("decomposition needs a connected graph with at least three vertices")
-    if len(connected_components(g)) != 1:
-        raise GraphError("decomposition needs a connected graph with at least three vertices")
-
-
 def build_j0(g: SimplicialGraph) -> GraphOfGroups:
     """Initial decomposition over the block tree, with loops at hanging blocks."""
-    _require_decomposable(g)
-    bt = block_tree(g)
+    if len(g.vertices) < 3:
+        raise GraphError("decomposition needs a connected graph with at least three vertices")
+    try:
+        bt = block_tree(g)
+    except GraphError:  # on three or more vertices only a disconnected graph fails
+        raise GraphError("decomposition needs a connected graph with at least three vertices") from None
     cut_id = {v: bid for bid, v in bt.black}
 
     vertices: list[GoGVertex] = []

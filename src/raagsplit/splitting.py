@@ -11,16 +11,15 @@ does.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Collection, Optional, Union
 
-from .blocks import cut_vertices, is_biconnected
+from .blocks import _lowpoint_scan, cut_vertices, is_biconnected
 from .graphs import (
     GraphError,
     SimplicialGraph,
     _bfs_parents,
     _is_hamiltonian_cycle,
     connected_components,
-    induced_subgraph,
     two_edge_segments,
 )
 
@@ -104,14 +103,16 @@ def z_split_witness(g: SimplicialGraph) -> ZSplitWitness:
     return _z_split_witness(g, cut_vertices(g))
 
 
-def _z_split_witness(g: SimplicialGraph, cuts: tuple[str, ...]) -> ZSplitWitness:
-    """``z_split_witness`` from the graph's sorted cut vertices."""
+def _z_split_witness(g: SimplicialGraph, cuts: Collection[str]) -> ZSplitWitness:
+    """``z_split_witness`` from the graph's cut vertices."""
     allv = set(g.vertices)
     if cuts:
-        v = cuts[0]
-        comp = connected_components(induced_subgraph(g, allv - {v}))[0]
-        side1 = tuple(sorted(set(comp) | {v}))
-        side2 = tuple(sorted(allv - set(comp)))
+        v = min(cuts)
+        # v is never reached, so the search from the least vertex of g - v
+        # exhausts that vertex's component: the least component of g - v
+        comp = _bfs_parents(g, min(allv - {v}), v, g.vertices).keys()
+        side1 = tuple(sorted(comp | {v}))
+        side2 = tuple(sorted(allv - comp))
         return ZSplitWitness(side1=side1, side2=side2, vertex=v)
     comps = connected_components(g)
     if len(comps) == 1:
@@ -236,14 +237,15 @@ def splits_over_z(g: SimplicialGraph) -> SplitReport:
         raise GraphError("splitting verdicts need a nonempty graph")
     if n == 1:
         return SplitReport(free_split=False, z_split=Z_SPLIT_NO, witness=SmallCaseWitness("Z"))
-    disconnected = len(connected_components(g)) > 1
+    # one lowpoint scan counts the components and finds the cut vertices the amalgam
+    # witness reuses; the graph is biconnected iff it is connected without cut vertices
+    _, cuts, components = _lowpoint_scan(g)
+    disconnected = components > 1
     if n == 2:
         tag = "F2" if disconnected else "Z^2"
         return SplitReport(
             free_split=disconnected, z_split=Z_SPLIT_HNN_SMALL_CASE, witness=SmallCaseWitness(tag)
         )
-    # biconnected iff connected without cuts; the amalgam witness reuses this lowpoint scan
-    cuts = cut_vertices(g)
     if not disconnected and not cuts:
         return SplitReport(free_split=False, z_split=Z_SPLIT_NO, witness=nonsplit_cover(g))
     return SplitReport(

@@ -7,9 +7,11 @@ from raagsplit import (
     SimplicialGraph,
     bicomponents,
     block_tree,
+    connected_components,
     cut_vertices,
     is_biconnected,
     parse_graph,
+    splits_over_z,
 )
 from raagsplit.cli import labeled_graphs
 
@@ -34,9 +36,13 @@ class TestCutVertices:
         assert cut_vertices(g) == ("b",)
 
     def test_exhaustive_small_against_removal_oracle(self):
+        # disconnected graphs included: the lowpoint scan also counts components
         for n in range(1, 5):
             for g in labeled_graphs(n):
                 assert cut_vertices(g) == oracle_cut_vertices(g)
+                assert is_biconnected(g) == oracle_is_biconnected(g)
+                if n >= 2:
+                    assert splits_over_z(g).free_split == (len(connected_components(g)) > 1)
 
     @given(graphs(max_vertices=8))
     def test_matches_removal_oracle(self, g):
@@ -80,11 +86,12 @@ class TestBicomponents:
         assert bicomponents(triangle) == [("a", "b", "c")]
 
     def test_disconnected_rejected(self):
-        with pytest.raises(GraphError):
-            bicomponents(parse_graph("a b\nx y"))
+        for text in ("a b\nx y", "a b\nb c\nx y"):
+            with pytest.raises(GraphError, match="^bicomponents are defined for connected graphs only$"):
+                bicomponents(parse_graph(text))
 
     def test_single_vertex_rejected(self):
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match="^bicomponents need at least two vertices$"):
             bicomponents(SimplicialGraph(["a"]))
 
     @given(graphs(min_vertices=2, max_vertices=8, connected=True))

@@ -113,7 +113,8 @@ class TestJsj:
 
     def test_disconnected_exit_4(self, capsys, monkeypatch):
         code, _, err = run(capsys, ["jsj", "-"], stdin="a b\nc d\n", monkeypatch=monkeypatch)
-        assert code == 4 and "connected" in err
+        assert code == 4
+        assert err == "error: decomposition needs a connected graph with at least three vertices\n"
 
     def test_dot_output(self, capsys, star_file):
         code, out, _ = run(capsys, ["jsj", star_file, "--format=dot", "--stage=j0"])
@@ -248,7 +249,9 @@ class TestGoldenAtScale:
     The J0 digests, on a cactus whose blocks hold up to four cut vertices, fix
     the ``e<i>`` numbering around blocks with several cut vertices, which the
     small fixtures never exercise.  The cover digests fix the Hamiltonian
-    cover of a cycle, a grid and an ear graph.
+    cover of a cycle, a grid and an ear graph; the amalgam digests fix the
+    sides of the amalgam witness on a path, a random tree, a K4 chain and a
+    cactus.
     """
 
     DIGESTS = {
@@ -274,14 +277,32 @@ class TestGoldenAtScale:
         ("ear", "witness"): "42671a9a7ec9ffda3812e6ae64a1715ff78fa469ab10e637656ef69b594a2d87",
     }
 
+    AMALGAM_DIGESTS = {
+        ("path", "split"): "d2c5e62ae480477c334f265f22eceb54cb013dd959651270ac31847eff9a8919",
+        ("path", "witness"): "f25884d3683d17f6d599fc55b39b58966c32f57d81d53d2dc16e4b08c9a8f941",
+        ("random-tree", "split"): "c9de8090235ed60786f870f68b89fc43c6f3d6b8437f58d865059b07151724dd",
+        ("random-tree", "witness"): "a69dce842f62b705fa23f8ad04564cb1e38bdde605bde49f6fc922db563918f3",
+        ("k4-chain", "split"): "7b63b5e540251c3f632ace76c4661641a5bce61119b3903fd66ae574addae9c0",
+        ("k4-chain", "witness"): "accbc8b57f041d33e241506f2e2d374676e30a3c2459896bfb6c0738699e30c4",
+        ("cactus", "split"): "9a04ed165c6cb859d44770b7b6163a42b0fe079aed232b716e53c1b4bb04e2e3",
+        ("cactus", "witness"): "223b3d1984f8ba06ecc942408628f5218ccf27787eca792451697e4f54576dc4",
+    }
+
     @pytest.mark.parametrize("family, cmd", sorted(COVER_DIGESTS))
     def test_cover_digest(self, capsys, tmp_path, family, cmd):
+        assert self.digest(capsys, tmp_path, family, cmd) == self.COVER_DIGESTS[(family, cmd)]
+
+    @pytest.mark.parametrize("family, cmd", sorted(AMALGAM_DIGESTS))
+    def test_amalgam_digest(self, capsys, tmp_path, family, cmd):
+        assert self.digest(capsys, tmp_path, family, cmd) == self.AMALGAM_DIGESTS[(family, cmd)]
+
+    @staticmethod
+    def digest(capsys, tmp_path, family, cmd):
         g = scale_graph(family, 300, 1)
         path = tmp_path / f"{family}.txt"
         path.write_text("".join(f"{u} {v}\n" for u, v in g.edges))
         assert main([cmd, str(path)]) == 0
-        out = capsys.readouterr().out
-        assert hashlib.sha256(out.encode()).hexdigest() == self.COVER_DIGESTS[(family, cmd)]
+        return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
 
 
 # ------------------------------------------------------------------- graph6

@@ -17,6 +17,8 @@ from raagsplit.jsj import BLACK, MERGED, WHITE
 
 from conftest import graphs
 
+DECOMPOSITION_PRECONDITION = "decomposition needs a connected graph with at least three vertices"
+
 
 def whites(gog):
     return [v for v in gog.vertices if v.color in (WHITE, MERGED)]
@@ -55,12 +57,14 @@ class TestBuildJ0:
         assert j0.vertices[0].group == RaagGroup(("a", "b", "c"))
 
     def test_k2_rejected(self):
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match=f"^{DECOMPOSITION_PRECONDITION}$"):
             build_j0(parse_graph("a b"))
 
     def test_disconnected_rejected(self):
-        with pytest.raises(GraphError):
-            build_j0(parse_graph("a b\nb c\nx"))
+        # block_tree's own "bicomponents ..." message must not leak
+        for text in ("a b\nb c\nx", "a b\nb c\nx y"):
+            with pytest.raises(GraphError, match=f"^{DECOMPOSITION_PRECONDITION}$"):
+                build_j0(parse_graph(text))
 
     def test_path3_both_blocks_hanging(self, path3):
         j0 = build_j0(path3)
@@ -127,10 +131,9 @@ class TestJsj:
         assert j.vertices[0].group == RaagGroup(("a", "b", "c", "d"))
 
     def test_preconditions(self):
-        with pytest.raises(GraphError):
-            jsj(parse_graph("a b"))
-        with pytest.raises(GraphError):
-            jsj(parse_graph("a b\nc d"))
+        for text in ("a b", "a b\nc d", "a b\nb c\nx y"):
+            with pytest.raises(GraphError, match=f"^{DECOMPOSITION_PRECONDITION}$"):
+                jsj(parse_graph(text))
 
     @given(graphs(min_vertices=3, max_vertices=7, connected=True))
     @settings(max_examples=80)
