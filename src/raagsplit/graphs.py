@@ -75,13 +75,14 @@ class SimplicialGraph:
         order: dict[str, None] = {}
         pairs = []
         for pair in edges:
-            u, v = pair
-            order.setdefault(u, None)
-            order.setdefault(v, None)
+            try:
+                u, v = pair
+                order.setdefault(u, None)
+                order.setdefault(v, None)
+            except (TypeError, ValueError):  # not a pair, or an unhashable endpoint
+                raise GraphError(f"edge {pair!r} is not a vertex pair") from None
             pairs.append((u, v))
-        for v in isolated:
-            order.setdefault(v, None)
-        return cls(order, pairs)
+        return cls([*order, *isolated], pairs)  # the constructor checks and merges names
 
     def neighbors(self, v: str) -> tuple[str, ...]:
         try:

@@ -75,6 +75,13 @@ class GraphOfGroups:
     edges: tuple[GoGEdge, ...]
     source: SimplicialGraph
 
+    def __post_init__(self) -> None:
+        ids = {v.id for v in self.vertices}
+        for e in self.edges:
+            for end in e.ends:
+                if end not in ids:
+                    raise GraphError(f"edge {e.id} ends at {end!r}, which is not a vertex id")
+
     def valence(self, vid: str) -> int:
         """Incident edge ends at ``vid``; a loop contributes two."""
         total = 0

@@ -3,17 +3,19 @@
 A presentation stores relators as freely reduced words of (generator index,
 exponent) letters with exponents +-1.  Abelianization goes through an exact
 integer Smith normal form, so torsion is certified absent rather than sampled.
+A graph of groups is presented over the maximal tree that one union-find
+picks from its edges in order; a second union-find merges the generator
+copies along that tree, so tree edges leave no relator.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
 from .blocks import cut_vertices
 from .graphs import GraphError, SimplicialGraph, euler_characteristic
-from .jsj import GoGEdge, GraphOfGroups, RaagGroup
+from .jsj import GraphOfGroups, RaagGroup
 
 Word = tuple[tuple[int, int], ...]
 
@@ -59,38 +61,13 @@ class _UnionFind:
             self.parent[x], x = root, self.parent[x]
         return root
 
-    def union(self, a, b) -> None:
+    def union(self, a, b) -> bool:
+        """Join the classes of ``a`` and ``b``; False if they were already one."""
         ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-
-def _spanning_tree(gog: GraphOfGroups) -> set[str]:
-    """Breadth-first spanning tree (edge ids) from the least vertex id."""
-    ids = sorted(v.id for v in gog.vertices)
-    adj: dict[str, list[tuple[str, GoGEdge]]] = {vid: [] for vid in ids}
-    for e in gog.edges:
-        if e.is_loop:
-            continue
-        a, b = e.ends
-        adj[a].append((b, e))
-        adj[b].append((a, e))
-    for vid in adj:
-        adj[vid].sort(key=lambda item: (item[0], item[1].id))
-    root = ids[0]
-    seen = {root}
-    tree: set[str] = set()
-    queue = deque([root])
-    while queue:
-        x = queue.popleft()
-        for y, e in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                tree.add(e.id)
-                queue.append(y)
-    if len(seen) != len(ids):
-        raise GraphError("graph of groups has a disconnected base graph")
-    return tree
+        if ra == rb:
+            return False
+        self.parent[ra] = rb
+        return True
 
 
 def _span_edges(g: SimplicialGraph, members: Iterable[str]) -> list[tuple[str, str]]:
@@ -102,20 +79,32 @@ def _span_edges(g: SimplicialGraph, members: Iterable[str]) -> list[tuple[str, s
 def emit_presentation(gog: GraphOfGroups) -> Presentation:
     """Fundamental group presentation of a graph of groups.
 
-    Vertex-group generator copies identified along spanning-tree edges are
-    merged eagerly into one symbol named by the underlying source-graph
-    vertex, so a decomposition of A(g) presents itself on g's own vertex
-    names.  Non-tree edges contribute their stable letter and a conjugation
-    relator; tree identifications then reduce to nothing.
+    The maximal tree of the base graph is picked greedily: an edge is a tree
+    edge exactly when it joins two pieces that earlier edges left apart, so
+    loops never are.  Any maximal tree presents the same group; on the
+    tree-plus-loops bases that ``build_j0`` and ``collapse_to_j`` build, every
+    non-loop edge is a tree edge.  Generator copies identified along tree
+    edges merge into one symbol named by the underlying source-graph vertex,
+    so a decomposition of A(g) presents itself on g's own vertex names and
+    tree edges leave no relator.  Every other edge contributes its stable
+    letter and a conjugation relator.
     """
-    tree = _spanning_tree(gog)
+    pieces = _UnionFind()
     uf = _UnionFind()
-    for v in gog.vertices:
-        for x in v.group.generators():
-            uf.find((v.id, x))
+    non_tree = []
     for e in gog.edges:
-        if e.id in tree:
-            uf.union((e.ends[0], e.inclusions[0]), (e.ends[1], e.inclusions[1]))
+        a, b = e.ends
+        if pieces.union(a, b):
+            uf.union((a, e.inclusions[0]), (b, e.inclusions[1]))
+        else:
+            non_tree.append(e)
+    if len({pieces.find(v.id) for v in gog.vertices}) != 1:
+        raise GraphError("graph of groups has a disconnected base graph")
+    copies = {(v.id, x) for v in gog.vertices for x in v.group.generators()}
+    for e in gog.edges:
+        for vid, x in zip(e.ends, e.inclusions):
+            if (vid, x) not in copies:
+                raise GraphError(f"edge {e.id} includes {x!r}, not a generator at {vid!r}")
 
     class_name: dict = {}
     for v in gog.vertices:
@@ -150,22 +139,17 @@ def emit_presentation(gog: GraphOfGroups) -> Presentation:
         if isinstance(v.group, RaagGroup):
             for a, b in _span_edges(gog.source, v.group.vertices):
                 relators.append(_commutator(symbol(v.id, a), symbol(v.id, b)))
-    for e in gog.edges:
+    for e in non_tree:
+        if e.stable_letter is None:
+            raise GraphError(f"non-tree edge {e.id} has no stable letter")
+        if e.stable_letter in by_name:
+            raise GraphError(f"stable letter {e.stable_letter!r} collides with a generator")
+        t = len(generators)
+        by_name[e.stable_letter] = t
+        generators.append(e.stable_letter)
         img0 = symbol(e.ends[0], e.inclusions[0])
         img1 = symbol(e.ends[1], e.inclusions[1])
-        if e.id in tree:
-            word = free_reduce(((img0, 1), (img1, -1)))
-        else:
-            if e.stable_letter is None:
-                raise GraphError(f"non-tree edge {e.id} has no stable letter")
-            if e.stable_letter in by_name:
-                raise GraphError(f"stable letter {e.stable_letter!r} collides with a generator")
-            t = len(generators)
-            by_name[e.stable_letter] = t
-            generators.append(e.stable_letter)
-            word = free_reduce(((t, 1), (img0, 1), (t, -1), (img1, -1)))
-        if word:
-            relators.append(word)
+        relators.append(((t, 1), (img0, 1), (t, -1), (img1, -1)))  # t is fresh: nothing cancels
     return Presentation(generators=tuple(generators), relators=tuple(relators))
 
 

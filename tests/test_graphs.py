@@ -76,12 +76,14 @@ class TestParse:
 
     @pytest.mark.parametrize(
         "vertices,edges",
-        [("ab", [5]), ([["a"]], []), (["a"], [(["a"], "a")])],
-        ids=["non-pair edge", "unhashable vertex", "unhashable endpoint"],
+        [("ab", [5]), ([["a"]], []), (["a"], [(["a"], "a")]), ("abc", [("a", "b", "c")])],
+        ids=["non-pair edge", "unhashable vertex", "unhashable endpoint", "triple edge"],
     )
     def test_constructor_raises_graph_error_on_malformed_input(self, vertices, edges):
         with pytest.raises(GraphError):
             SimplicialGraph(vertices, edges)
+        with pytest.raises(GraphError):
+            SimplicialGraph.from_edges(edges, isolated=vertices)
 
 
 class TestInducedSubgraph:

@@ -3,7 +3,10 @@ from hypothesis import given, settings
 
 from raagsplit import (
     CyclicGroup,
+    GoGEdge,
+    GoGVertex,
     GraphError,
+    GraphOfGroups,
     RaagGroup,
     build_j0,
     collapse_to_j,
@@ -175,3 +178,11 @@ class TestJsj:
 
         if is_biconnected(g):
             assert len(j.vertices) == 1 and j.edges == ()
+
+
+class TestGraphOfGroups:
+    def test_edge_end_outside_the_vertices_rejected(self, path3):
+        vertex = GoGVertex(id="w", color=WHITE, group=RaagGroup(("a", "b")))
+        edge = GoGEdge(id="e0", ends=("w", "zz"), group=CyclicGroup("b"), inclusions=("b", "b"))
+        with pytest.raises(GraphError, match="^edge e0 ends at 'zz', which is not a vertex id$"):
+            GraphOfGroups(vertices=(vertex,), edges=(edge,), source=path3)

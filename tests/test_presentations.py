@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from itertools import combinations
@@ -13,6 +14,7 @@ from raagsplit import (
     build_j0,
     check_coverage,
     check_euler,
+    collapse_to_j,
     connected_components,
     emit_presentation,
     euler_characteristic,
@@ -26,7 +28,7 @@ from raagsplit import (
 from raagsplit.cli import labeled_graphs
 from raagsplit.jsj import CyclicGroup, GoGEdge, GoGVertex, GraphOfGroups, RaagGroup
 
-from conftest import graphs
+from conftest import graphs, scale_graph
 
 
 def windmill(k: int):
@@ -192,8 +194,86 @@ class TestEmitPresentation:
             edges=gog.edges,
             source=gog.source,
         )
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match="graph of groups has a disconnected base graph"):
             emit_presentation(orphan)
+
+    @staticmethod
+    def gog_on_ab(count, *edges):
+        """``count`` vertex groups on ``a, b`` of the path ``a b c``, joined by ``edges``."""
+        vertices = tuple(
+            GoGVertex(id=f"w{i}", color="white", group=RaagGroup(("a", "b"))) for i in range(count)
+        )
+        return GraphOfGroups(vertices=vertices, edges=edges, source=parse_graph("a b\nb c"))
+
+    @staticmethod
+    def edge(ends, inclusions, stable_letter=None, eid="e0"):
+        return GoGEdge(
+            id=eid,
+            ends=ends,
+            group=CyclicGroup(inclusions[1]),
+            inclusions=inclusions,
+            stable_letter=stable_letter,
+        )
+
+    def test_merged_copies_disagree_on_a_name(self):
+        gog = self.gog_on_ab(2, self.edge(("w0", "w1"), ("a", "b")))
+        with pytest.raises(GraphError, match="merged generators disagree on a name: 'a' vs 'b'"):
+            emit_presentation(gog)
+
+    def test_one_name_on_two_symbols(self):
+        gog = self.gog_on_ab(2, self.edge(("w0", "w1"), ("b", "b")))
+        with pytest.raises(GraphError, match="generator name 'a' is carried by two distinct"):
+            emit_presentation(gog)
+
+    def test_loop_without_stable_letter(self):
+        gog = self.gog_on_ab(1, self.edge(("w0", "w0"), ("a", "a")))
+        with pytest.raises(GraphError, match="non-tree edge e0 has no stable letter"):
+            emit_presentation(gog)
+
+    def test_stable_letter_collides_with_a_generator(self):
+        gog = self.gog_on_ab(1, self.edge(("w0", "w0"), ("a", "a"), stable_letter="b"))
+        with pytest.raises(GraphError, match="stable letter 'b' collides with a generator"):
+            emit_presentation(gog)
+
+    def test_no_vertices_rejected(self, path3):
+        with pytest.raises(GraphError, match="graph of groups has a disconnected base graph"):
+            emit_presentation(GraphOfGroups(vertices=(), edges=(), source=path3))
+
+    @pytest.mark.parametrize("ends", [("w0", "w0"), ("w0", "w1")], ids=["loop", "tree edge"])
+    def test_inclusion_outside_the_end_group_rejected(self, ends):
+        gog = self.gog_on_ab(len(set(ends)), self.edge(ends, ("q", "a"), stable_letter="c"))
+        with pytest.raises(GraphError, match="^edge e0 includes 'q', not a generator at 'w0'$"):
+            emit_presentation(gog)
+
+    def test_cyclic_base_takes_edges_in_order(self):
+        """The first two edges close no cycle, so the third one carries the stable letter."""
+        vertices = tuple(
+            GoGVertex(id=f"w{i}", color="white", group=RaagGroup(("a",))) for i in range(3)
+        )
+        edges = (
+            self.edge(("w1", "w2"), ("a", "a"), stable_letter="s", eid="e0"),
+            self.edge(("w0", "w1"), ("a", "a"), stable_letter="t", eid="e1"),
+            self.edge(("w0", "w2"), ("a", "a"), stable_letter="u", eid="e2"),
+        )
+        p = emit_presentation(GraphOfGroups(vertices, edges, source=parse_graph("a b")))
+        assert p.generators == ("a", "u")
+        assert p.relators == (((1, 1), (0, 1), (1, -1), (0, -1)),)
+        assert abelianization(p) == (2, [])
+
+    # sha256 of repr((generators, relators)) on scale_graph(family, 300, 1); J0 and J agree
+    DIGESTS = {
+        "cactus": "a95d23d62616b8ab33729fdc53efcce51ab8349b2dd21c87722b87c038a318f6",
+        "k4-chain": "8d5ba8b5ab3eca7ea13b55f0907c279ba7870dedc5bca6152102fb0ce12dbc3a",
+        "path": "e8b94a5c0a0312183f8a891e52ab48dcbd7f03d8b35ebee9cede1d6f793ebaed",
+    }
+
+    @pytest.mark.parametrize("family", sorted(DIGESTS))
+    def test_golden_digest_at_scale(self, family):
+        j0 = build_j0(scale_graph(family, 300, 1))
+        for gog in (j0, collapse_to_j(j0)):
+            p = emit_presentation(gog)
+            digest = hashlib.sha256(repr((p.generators, p.relators)).encode()).hexdigest()
+            assert digest == self.DIGESTS[family]
 
 
 class TestAbelianization:
