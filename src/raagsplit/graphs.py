@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from itertools import combinations
-from typing import AbstractSet, Container, Iterable, Mapping, Optional, Sequence
+from typing import AbstractSet, Container, Iterable, Iterator, Mapping, Optional, Sequence
 
 
 class GraphError(ValueError):
@@ -177,31 +177,90 @@ def connected_components(g: SimplicialGraph) -> list[tuple[str, ...]]:
     return comps
 
 
-def _bfs_parents(
-    g: SimplicialGraph, start: str, avoid: str, targets: Iterable[str]
-) -> dict[str, Optional[str]]:
-    """Breadth-first parents from ``start`` in g minus ``avoid``, up to the last target.
-
-    Neighbors expand in lexicographic order, so the parent chain of any reached
-    vertex spells the lexicographically least shortest path from ``start``.
-    A parent is set once, when its vertex is first found, so stopping as soon
-    as every target is found leaves each target the chain a full search would
-    give; the cost is bound by the ball around ``start`` out to the farthest
-    target.  An unreachable target makes the search exhaust the component.
-    """
-    parents: dict[str, Optional[str]] = {start: None}
-    wanted = set(targets) - {start}
+def _component_avoiding(g: SimplicialGraph, start: str, avoid: str) -> set[str]:
+    """The vertices of g minus ``avoid`` that ``start`` reaches."""
+    seen = {start}
     adj = g._adj
     queue = deque([start])
-    while queue and wanted:
-        x = queue.popleft()
-        for y in adj[x]:
-            if y == avoid or y in parents:
-                continue
-            parents[y] = x
-            wanted.discard(y)
-            queue.append(y)
-    return parents
+    while queue:
+        for y in adj[queue.popleft()]:
+            if y != avoid and y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return seen
+
+
+def _least_paths(
+    g: SimplicialGraph, start: str, avoid: str, targets: Sequence[str]
+) -> Iterator[Optional[list[str]]]:
+    """Per target in order: its least shortest path from ``start`` in g minus ``avoid``, or None.
+
+    The forward search expands neighbours in lexicographic order and sets a
+    parent only when its vertex is first found, so a parent chain spells the
+    lexicographically least shortest path and each level, in queue order, is
+    sorted by those paths.  It grows a whole level at a time and its ball is
+    kept for every later target.  A target outside it grows a backward search,
+    also a level at a time, and each step expands the side with the smaller
+    frontier.  Each backward level is sorted before it expands, so a backward
+    link is the least neighbour one step nearer the target.  The path runs
+    through the first forward-level vertex, in queue order, that the backward
+    side reached; the last target stops at the first such vertex found.
+    No target may be ``avoid``.
+    """
+    adj = g._adj
+    # avoid counts as found on both sides, so neither search enters it
+    parents: dict[str, Optional[str]] = {start: None, avoid: None}
+    level = [start]
+    last = len(targets) - 1
+    for t, w in enumerate(targets):
+        links: dict[str, Optional[str]] = {w: None, avoid: None}
+        back = [w]
+        meet = w if w in parents else None
+        while meet is None and level and back:
+            nb = len(back)
+            while len(level) <= nb:
+                new = []
+                for x in level:
+                    for y in adj[x]:
+                        if y not in parents:
+                            parents[y] = x
+                            new.append(y)
+                            if y in links and meet is None:
+                                meet = y
+                                if t == last:
+                                    break  # no later target reuses this ball
+                    else:
+                        continue
+                    break  # the break above ends the level too
+                level = new
+                if meet is not None or not new:
+                    break
+            else:  # the backward frontier is the smaller one
+                new = []
+                for x in sorted(back):
+                    for y in adj[x]:
+                        if y not in links:
+                            links[y] = x
+                            new.append(y)
+                            if y in parents and meet is None:
+                                meet = y
+                back = new
+                if meet is not None:
+                    meet = next(x for x in level if x in links)
+        if meet is None:
+            yield None
+            continue
+        path = []
+        x = meet
+        while x is not None:
+            path.append(x)
+            x = parents[x]
+        path.reverse()
+        x = links[meet]
+        while x is not None:
+            path.append(x)
+            x = links[x]
+        yield path
 
 
 def shortest_path_avoiding(g: SimplicialGraph, u: str, w: str, v: str) -> Optional[list[str]]:
@@ -215,14 +274,7 @@ def shortest_path_avoiding(g: SimplicialGraph, u: str, w: str, v: str) -> Option
             raise GraphError(f"vertex {x!r} not in graph")
     if len({u, w, v}) != 3:
         raise GraphError("u, w, v must be three distinct vertices")
-    parents = _bfs_parents(g, u, v, (w,))
-    if w not in parents:
-        return None
-    path = [w]
-    while parents[path[-1]] is not None:
-        path.append(parents[path[-1]])  # type: ignore[arg-type]
-    path.reverse()
-    return path
+    return next(_least_paths(g, u, v, (w,)))
 
 
 def _is_hamiltonian_cycle(

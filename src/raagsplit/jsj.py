@@ -82,13 +82,6 @@ class GraphOfGroups:
                 if end not in ids:
                     raise GraphError(f"edge {e.id} ends at {end!r}, which is not a vertex id")
 
-    def valence(self, vid: str) -> int:
-        """Incident edge ends at ``vid``; a loop contributes two."""
-        total = 0
-        for e in self.edges:
-            total += (e.ends[0] == vid) + (e.ends[1] == vid)
-        return total
-
 
 def build_j0(g: SimplicialGraph) -> GraphOfGroups:
     """Initial decomposition over the block tree, with loops at hanging blocks."""

@@ -20,7 +20,7 @@ def witness_to_dict(w: Witness) -> dict:
         return {
             "kind": "cover",
             "cover": [
-                {"segment": list(seg), "delta": list(delta), "cycle": list(cycle)}
+                {"segment": seg, "delta": delta, "cycle": cycle}  # json writes tuples as arrays
                 for seg, (delta, cycle) in sorted(w.entries.items())
             ],
         }

@@ -17,8 +17,9 @@ from .blocks import _lowpoint_scan, cut_vertices, is_biconnected
 from .graphs import (
     GraphError,
     SimplicialGraph,
-    _bfs_parents,
+    _component_avoiding,
     _is_hamiltonian_cycle,
+    _least_paths,
     connected_components,
     two_edge_segments,
 )
@@ -86,7 +87,8 @@ def splits_freely(g: SimplicialGraph) -> tuple[bool, Optional[FreeSplitWitness]]
     if len(comps) == 1:
         return False, None
     first = comps[0]
-    rest = tuple(sorted(v for v in g.vertices if v not in set(first)))
+    members = set(first)
+    rest = tuple(sorted(v for v in g.vertices if v not in members))
     return True, FreeSplitWitness(parts=(first, rest))
 
 
@@ -108,9 +110,8 @@ def _z_split_witness(g: SimplicialGraph, cuts: Collection[str]) -> ZSplitWitness
     allv = set(g.vertices)
     if cuts:
         v = min(cuts)
-        # v is never reached, so the search from the least vertex of g - v
-        # exhausts that vertex's component: the least component of g - v
-        comp = _bfs_parents(g, min(allv - {v}), v, g.vertices).keys()
+        # the component of the least vertex of g - v is the least component of g - v
+        comp = _component_avoiding(g, min(allv - {v}), v)
         side1 = tuple(sorted(comp | {v}))
         side2 = tuple(sorted(allv - comp))
         return ZSplitWitness(side1=side1, side2=side2, vertex=v)
@@ -136,9 +137,10 @@ def nonsplit_cover(g: SimplicialGraph) -> NonSplitCover:
 
     For each two-edge segment u-v-w the shortest u-w path avoiding v closes up
     with the segment into a Hamiltonian cycle of the induced subgraph it spans;
-    biconnectivity guarantees the path exists.  One breadth-first search of
-    g - v per neighbour u of v, stopped once it has reached every later
-    neighbour w, so the cost is the balls searched plus the size of the cover.
+    biconnectivity guarantees the path exists.  Each path is searched from
+    both ends in g - v: the search from u keeps its ball for every later
+    neighbour w of v, and a w outside it searches back until the two balls
+    meet, so the cost is the balls searched plus the size of the cover.
     """
     if len(g.vertices) < 3 or not is_biconnected(g):
         raise GraphError("Hamiltonian covers exist for biconnected graphs on >= 3 vertices")
@@ -148,14 +150,12 @@ def nonsplit_cover(g: SimplicialGraph) -> NonSplitCover:
         for i, u in enumerate(nv):
             if i + 1 == len(nv):
                 break
-            parents = _bfs_parents(g, u, v, nv[i + 1 :])
-            for w in nv[i + 1 :]:
-                path = [w]
-                while parents[path[-1]] is not None:
-                    path.append(parents[path[-1]])  # type: ignore[arg-type]
-                path.reverse()
-                delta = tuple(sorted({v, *path}))
-                cycle = (v, *path)
+            later = nv[i + 1 :]
+            for w, path in zip(later, _least_paths(g, u, v, later)):
+                # biconnected, so every path exists; it is simple and avoids v,
+                # so the cycle has no repeats and sorting it gives the span
+                cycle = (v, *path)  # type: ignore
+                delta = tuple(sorted(cycle))
                 entries[(u, v, w)] = (delta, cycle)
     return NonSplitCover(entries=dict(sorted(entries.items())))
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 import string
+from collections import deque
 from itertools import combinations
 
 import pytest
@@ -150,6 +151,26 @@ def oracle_bfs_distance(g: SimplicialGraph, start, goal, avoid=None):
                 nxt.add(y)
         frontier = nxt
     return None
+
+
+def exhaustive_bfs_parents(g: SimplicialGraph, start, avoid):
+    """Lexicographic breadth-first parents of g minus ``avoid``, never stopped early."""
+    parents = {start: None}
+    queue = deque([start])
+    while queue:
+        x = queue.popleft()
+        for y in sorted(g.neighbors(x)):
+            if y != avoid and y not in parents:
+                parents[y] = x
+                queue.append(y)
+    return parents
+
+
+def parent_chain(parents, w):
+    chain = [w]
+    while parents[chain[-1]] is not None:
+        chain.append(parents[chain[-1]])
+    return chain[::-1]
 
 
 def oracle_hamiltonian_accepts(g: SimplicialGraph, seq) -> bool:

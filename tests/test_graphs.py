@@ -1,4 +1,3 @@
-from collections import deque
 from itertools import permutations
 
 import pytest
@@ -20,14 +19,16 @@ from raagsplit import (
 )
 
 from raagsplit.cli import main
-from raagsplit.graphs import _bfs_parents
+from raagsplit.graphs import _least_paths
 
 from conftest import (
+    exhaustive_bfs_parents,
     graphs,
     oracle_bfs_distance,
     oracle_clique_counts,
     oracle_components,
     oracle_hamiltonian_accepts,
+    parent_chain,
 )
 
 
@@ -152,6 +153,12 @@ class TestShortestPathAvoiding:
         g = parse_graph("x a\na y\nx b\nb y\nx c\nc y")
         assert shortest_path_avoiding(g, "x", "y", "c") == ["x", "a", "y"]
 
+    def test_backward_links_take_least_neighbour(self):
+        # u's wide first level makes the search from w take three levels; that
+        # search finds d before c, but y's least neighbour one step nearer w is c
+        g = parse_graph("w a\nw b\na d\nb c\nc y\nd y\nu y\nu f\nu g\nu h")
+        assert shortest_path_avoiding(g, "u", "w", "f") == ["u", "y", "c", "b", "w"]
+
     @given(graphs(min_vertices=3, max_vertices=7), st.data())
     def test_against_bfs_oracle(self, g, data):
         trip = data.draw(st.permutations(g.vertices))
@@ -166,28 +173,8 @@ class TestShortestPathAvoiding:
             assert all(b in g.neighbors(a) for a, b in zip(path, path[1:]))
 
 
-def exhaustive_bfs_parents(g, start, avoid):
-    """Lexicographic breadth-first parents of g minus ``avoid``, never stopped early."""
-    parents = {start: None}
-    queue = deque([start])
-    while queue:
-        x = queue.popleft()
-        for y in sorted(g.neighbors(x)):
-            if y != avoid and y not in parents:
-                parents[y] = x
-                queue.append(y)
-    return parents
-
-
-def parent_chain(parents, w):
-    chain = [w]
-    while parents[chain[-1]] is not None:
-        chain.append(parents[chain[-1]])
-    return chain[::-1]
-
-
 class TestEarlyStoppingSearch:
-    """Stopping at the last target leaves every target the path a full search finds."""
+    """The two-ended search gives every target the path a full one-sided search finds."""
 
     @given(graphs(min_vertices=3, max_vertices=6), st.data())
     @settings(max_examples=300)
@@ -197,18 +184,17 @@ class TestEarlyStoppingSearch:
         expected = parent_chain(full, w) if w in full else None
         assert shortest_path_avoiding(g, u, w, v) == expected
 
-    @given(graphs(min_vertices=3, max_vertices=6), st.data())
+    @given(graphs(min_vertices=3, max_vertices=8), st.data())
     @settings(max_examples=300)
     def test_every_target_chain_matches_full_search(self, g, data):
         u, v = data.draw(st.permutations(g.vertices))[:2]
-        others = [x for x in g.vertices if x not in (u, v)]
+        others = [x for x in g.vertices if x != v]
         targets = data.draw(st.lists(st.sampled_from(others), unique=True))
         full = exhaustive_bfs_parents(g, u, v)
-        parents = _bfs_parents(g, u, v, targets)
-        for w in targets:
-            assert (w in parents) == (w in full)
-            if w in full:
-                assert parent_chain(parents, w) == parent_chain(full, w)
+        paths = list(_least_paths(g, u, v, targets))
+        assert len(paths) == len(targets)
+        for w, path in zip(targets, paths):
+            assert path == (parent_chain(full, w) if w in full else None)
 
 
 class TestHamiltonianCycleCheck:

@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,7 +28,18 @@ from raagsplit import (
 )
 from raagsplit.cli import labeled_graphs, oracle_biconnected
 
-from conftest import graphs
+from conftest import exhaustive_bfs_parents, graphs, parent_chain, scale_graph
+
+
+def hub_graph(family):
+    """K_{2,40} ("k2") or the wheel W_60 ("wheel") under seeded shuffled names."""
+    if family == "k2":
+        edges = [(h, i) for h in (0, 1) for i in range(2, 42)]
+    else:
+        edges = [(i, i % 60 + 1) for i in range(1, 61)] + [(0, i) for i in range(1, 61)]
+    perm = list(range(max(b for _, b in edges) + 1))
+    random.Random(family).shuffle(perm)
+    return SimplicialGraph.from_edges([(f"v{perm[a]:02d}", f"v{perm[b]:02d}") for a, b in edges])
 
 
 def amalgam_invariants_hold(g, w: ZSplitWitness) -> bool:
@@ -52,6 +66,11 @@ class TestSplitsFreely:
     def test_two_disjoint_edges(self):
         free, witness = splits_freely(parse_graph("a b\nc d"))
         assert free and witness.parts == (("a", "b"), ("c", "d"))
+
+    def test_long_path_plus_vertex(self):
+        names = [f"p{i:04d}" for i in range(3000)]
+        free, witness = splits_freely(SimplicialGraph([*names, "z"], zip(names, names[1:])))
+        assert free and witness.parts == (tuple(names), ("z",))
 
     def test_single_vertex_rejected(self):
         with pytest.raises(GraphError):
@@ -130,6 +149,18 @@ class TestNonSplitCover:
             rho = shortest_path_avoiding(square, u, w, v)
             assert cycle == (v, *rho)
             assert delta == tuple(sorted({v, *rho}))
+
+    @pytest.mark.parametrize("family", ["ear", "grid", "cycle", "k2", "wheel"])
+    def test_matches_one_full_search_per_pair(self, family):
+        # 300-vertex sparse graphs, where paths are long, and hubs with many
+        # targets per search: K_{2,40} and the wheel W_60
+        g = scale_graph(family, 300, 1) if family in ("ear", "grid", "cycle") else hub_graph(family)
+        expected = {}
+        for v in g.vertices:
+            for u, w in combinations(sorted(g.neighbors(v)), 2):
+                path = parent_chain(exhaustive_bfs_parents(g, u, v), w)
+                expected[(u, v, w)] = (tuple(sorted({v, *path})), (v, *path))
+        assert list(nonsplit_cover(g).entries.items()) == sorted(expected.items())
 
     @given(graphs(min_vertices=3, max_vertices=7, connected=True))
     @settings(max_examples=60)
