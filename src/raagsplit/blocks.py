@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import GraphError, SimplicialGraph
 
 
-@dataclass(frozen=True)
-class BlockTree:
+class BlockTree(NamedTuple):
     """Bipartite tree of cut vertices (black) and bicomponents (white).
 
     Node ids are deterministic: ``cut:<name>`` for black nodes, ``blk<i>`` for

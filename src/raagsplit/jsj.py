@@ -11,15 +11,13 @@ edge groups are maximal cyclic.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .blocks import block_tree
 from .graphs import GraphError, SimplicialGraph
 
 
-@dataclass(frozen=True)
-class RaagGroup:
+class RaagGroup(NamedTuple):
     """The right-angled Artin group on an induced subgraph of the source graph."""
 
     vertices: tuple[str, ...]
@@ -28,8 +26,7 @@ class RaagGroup:
         return self.vertices
 
 
-@dataclass(frozen=True)
-class CyclicGroup:
+class CyclicGroup(NamedTuple):
     """The infinite cyclic group on a single source-graph vertex."""
 
     generator: str
@@ -45,8 +42,7 @@ WHITE = "white"
 MERGED = "merged"
 
 
-@dataclass(frozen=True)
-class GoGVertex:
+class GoGVertex(NamedTuple):
     id: str
     color: str  # BLACK, WHITE or MERGED
     group: GroupDescriptor
@@ -56,8 +52,7 @@ class GoGVertex:
     absorbed: tuple[str, ...] = ()  # cut vertices swallowed during collapse
 
 
-@dataclass(frozen=True)
-class GoGEdge:
+class GoGEdge(NamedTuple):
     id: str
     ends: tuple[str, str]  # equal ids for loops
     group: CyclicGroup
@@ -69,18 +64,27 @@ class GoGEdge:
         return self.ends[0] == self.ends[1]
 
 
-@dataclass(frozen=True)
-class GraphOfGroups:
+class _GraphOfGroups(NamedTuple):
     vertices: tuple[GoGVertex, ...]
     edges: tuple[GoGEdge, ...]
     source: SimplicialGraph
 
-    def __post_init__(self) -> None:
-        ids = {v.id for v in self.vertices}
-        for e in self.edges:
+
+# a NamedTuple body cannot define __new__, so this subclass checks the edge ends
+class GraphOfGroups(_GraphOfGroups):
+    __slots__ = ()
+
+    def __new__(cls, vertices, edges, source) -> GraphOfGroups:  # field types are on the base
+        ids = {v.id for v in vertices}
+        for e in edges:
             for end in e.ends:
                 if end not in ids:
                     raise GraphError(f"edge {e.id} ends at {end!r}, which is not a vertex id")
+        return super().__new__(cls, vertices, edges, source)
+
+    @classmethod
+    def _make(cls, iterable) -> GraphOfGroups:  # _replace builds through _make: check there too
+        return cls(*iterable)
 
 
 def build_j0(g: SimplicialGraph) -> GraphOfGroups:
@@ -163,7 +167,7 @@ def collapse_to_j(j0: GraphOfGroups) -> GraphOfGroups:
             continue
         if v.id in absorbed:
             merged = tuple(sorted(set(v.absorbed) | set(absorbed[v.id])))
-            vertices.append(replace(v, color=MERGED, absorbed=merged))
+            vertices.append(v._replace(color=MERGED, absorbed=merged))
         else:
             vertices.append(v)
 
@@ -175,7 +179,7 @@ def collapse_to_j(j0: GraphOfGroups) -> GraphOfGroups:
             if target[black] == other:
                 continue  # the collapsed edge
             new_ends = (target[black], other) if a in target else (other, target[black])
-            edges.append(replace(e, ends=new_ends))
+            edges.append(e._replace(ends=new_ends))
         else:
             edges.append(e)
     return GraphOfGroups(vertices=tuple(vertices), edges=tuple(edges), source=j0.source)

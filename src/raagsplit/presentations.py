@@ -10,8 +10,7 @@ copies along that tree, so tree edges leave no relator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .blocks import cut_vertices
 from .graphs import GraphError, SimplicialGraph, euler_characteristic
@@ -20,8 +19,7 @@ from .jsj import GraphOfGroups, RaagGroup
 Word = tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(NamedTuple):
     generators: tuple[str, ...]
     relators: tuple[Word, ...]
 

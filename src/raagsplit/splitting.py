@@ -10,8 +10,7 @@ does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Collection, Optional, Union
+from typing import Collection, NamedTuple, Optional, Union
 
 from .blocks import _lowpoint_scan, cut_vertices, is_biconnected
 from .graphs import (
@@ -29,15 +28,13 @@ Z_SPLIT_NO = "no"
 Z_SPLIT_HNN_SMALL_CASE = "hnn_small_case"
 
 
-@dataclass(frozen=True)
-class FreeSplitWitness:
+class FreeSplitWitness(NamedTuple):
     """A two-part vertex partition exhibiting a free product decomposition."""
 
     parts: tuple[tuple[str, ...], tuple[str, ...]]
 
 
-@dataclass(frozen=True)
-class ZSplitWitness:
+class ZSplitWitness(NamedTuple):
     """Two proper induced subgraphs covering g and meeting in one vertex.
 
     Certifies A(g) = A(side1) * A(side2) amalgamated over the cyclic group on
@@ -49,21 +46,17 @@ class ZSplitWitness:
     vertex: str
 
 
-@dataclass(frozen=True)
-class NonSplitCover:
+class NonSplitCover(NamedTuple):
     """Per two-edge segment: an induced subgraph and its Hamiltonian cycle.
 
     Keys are normalized segments (u, v, w) with u < w; values are the sorted
     span and the cycle witness starting at the segment's middle vertex.
     """
 
-    entries: dict[tuple[str, str, str], tuple[tuple[str, ...], tuple[str, ...]]] = field(
-        default_factory=dict
-    )
+    entries: dict[tuple[str, str, str], tuple[tuple[str, ...], tuple[str, ...]]]
 
 
-@dataclass(frozen=True)
-class SmallCaseWitness:
+class SmallCaseWitness(NamedTuple):
     """Verdict tag for one- and two-vertex graphs: "Z", "F2" or "Z^2"."""
 
     tag: str
@@ -72,8 +65,7 @@ class SmallCaseWitness:
 Witness = Union[ZSplitWitness, NonSplitCover, SmallCaseWitness]
 
 
-@dataclass(frozen=True)
-class SplitReport:
+class SplitReport(NamedTuple):
     free_split: bool
     z_split: str  # one of Z_SPLIT_YES / Z_SPLIT_NO / Z_SPLIT_HNN_SMALL_CASE
     witness: Witness
@@ -144,18 +136,24 @@ def nonsplit_cover(g: SimplicialGraph) -> NonSplitCover:
     """
     if len(g.vertices) < 3 or not is_biconnected(g):
         raise GraphError("Hamiltonian covers exist for biconnected graphs on >= 3 vertices")
+    return _nonsplit_cover(g)
+
+
+def _nonsplit_cover(g: SimplicialGraph) -> NonSplitCover:
+    """``nonsplit_cover`` for a graph already known to be biconnected on >= 3 vertices."""
+    whole = tuple(sorted(g.vertices))
     entries: dict[tuple[str, str, str], tuple[tuple[str, ...], tuple[str, ...]]] = {}
-    for v in sorted(g.vertices):
+    for v in whole:
         nv = g.neighbors(v)
         for i, u in enumerate(nv):
             if i + 1 == len(nv):
                 break
             later = nv[i + 1 :]
             for w, path in zip(later, _least_paths(g, u, v, later)):
-                # biconnected, so every path exists; it is simple and avoids v,
-                # so the cycle has no repeats and sorting it gives the span
+                # biconnected, so every path exists; it is simple and avoids v, so the
+                # sorted cycle is its span: the shared `whole` when it has every vertex
                 cycle = (v, *path)  # type: ignore
-                delta = tuple(sorted(cycle))
+                delta = whole if len(cycle) == len(whole) else tuple(sorted(cycle))
                 entries[(u, v, w)] = (delta, cycle)
     return NonSplitCover(entries=dict(sorted(entries.items())))
 
@@ -247,7 +245,7 @@ def splits_over_z(g: SimplicialGraph) -> SplitReport:
             free_split=disconnected, z_split=Z_SPLIT_HNN_SMALL_CASE, witness=SmallCaseWitness(tag)
         )
     if not disconnected and not cuts:
-        return SplitReport(free_split=False, z_split=Z_SPLIT_NO, witness=nonsplit_cover(g))
+        return SplitReport(free_split=False, z_split=Z_SPLIT_NO, witness=_nonsplit_cover(g))
     return SplitReport(
         free_split=disconnected, z_split=Z_SPLIT_YES, witness=_z_split_witness(g, cuts)
     )

@@ -188,3 +188,10 @@ class TestGraphOfGroups:
         edge = GoGEdge(id="e0", ends=("w", "zz"), group=CyclicGroup("b"), inclusions=("b", "b"))
         with pytest.raises(GraphError, match="^edge e0 ends at 'zz', which is not a vertex id$"):
             GraphOfGroups(vertices=(vertex,), edges=(edge,), source=path3)
+
+    def test_replace_checks_edge_ends(self, path3):
+        gog = jsj(path3)
+        loop = gog.edges[0]._replace(id="e9", ends=("zz", "zz"))
+        with pytest.raises(GraphError, match="^edge e9 ends at 'zz', which is not a vertex id$"):
+            gog._replace(edges=(loop,))
+        assert gog._replace(edges=()).edges == ()

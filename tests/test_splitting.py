@@ -162,6 +162,14 @@ class TestNonSplitCover:
                 expected[(u, v, w)] = (tuple(sorted({v, *path})), (v, *path))
         assert list(nonsplit_cover(g).entries.items()) == sorted(expected.items())
 
+    def test_whole_graph_spans_share_one_tuple(self):
+        # every span of a cycle is the whole vertex set
+        g = scale_graph("cycle", 300, 1)
+        entries = nonsplit_cover(g).entries
+        assert all(delta == tuple(sorted(cycle)) for delta, cycle in entries.values())
+        assert len({id(delta) for delta, _ in entries.values()}) == 1
+        assert splits_over_z(g).witness.entries == entries
+
     @given(graphs(min_vertices=3, max_vertices=7, connected=True))
     @settings(max_examples=60)
     def test_cover_completeness_and_validity(self, g):
@@ -363,7 +371,7 @@ class TestCoverPrecondition:
     def test_empty_cover_of_disconnected_graph_rejected(self):
         g = SimplicialGraph("abc", [("a", "b")])
         assert two_edge_segments(g) == []
-        assert not verify_cover(g, NonSplitCover())
+        assert not verify_cover(g, NonSplitCover({}))
 
     def test_union_of_two_triangle_covers_rejected(self, triangle):
         other = parse_graph("d e\ne f\nd f")
@@ -414,6 +422,26 @@ class TestSplitsOverZ:
         report = splits_over_z(parse_graph("a b\nc d\ne"))
         assert report.free_split and report.z_split == "yes"
         assert isinstance(report.witness, ZSplitWitness)
+
+    @pytest.mark.parametrize(
+        "text", ["a b\nb c\nc a", "a b\nb c\nc d\nd a", "a b\nb c"], ids=["triangle", "square", "path"]
+    )
+    def test_one_lowpoint_scan(self, text, monkeypatch):
+        import raagsplit.blocks
+        import raagsplit.splitting
+
+        scan = raagsplit.blocks._lowpoint_scan
+        scans = []
+
+        def counted(g):
+            scans.append(g)
+            return scan(g)
+
+        # splitting reads the scan through its own name and through blocks
+        monkeypatch.setattr(raagsplit.splitting, "_lowpoint_scan", counted)
+        monkeypatch.setattr(raagsplit.blocks, "_lowpoint_scan", counted)
+        splits_over_z(parse_graph(text))
+        assert len(scans) == 1
 
     def test_exhaustive_small_matches_removal_oracle(self):
         for n in (3, 4):
