@@ -31,14 +31,7 @@ from .graphs import (
 )
 from .jsj import build_j0, collapse_to_j, is_reduced, jsj
 from .presentations import abelianization, check_coverage, check_euler, emit_presentation
-from .serialize import (
-    gog_to_dict,
-    gog_to_dot,
-    graph_to_dot,
-    parse_graph6,
-    report_to_dict,
-    witness_to_dict,
-)
+from .serialize import _payload_json, gog_to_dict, gog_to_dot, graph_to_dot, parse_graph6
 from .splitting import Z_SPLIT_YES, ZSplitWitness, amalgam_defects, cover_defects, splits_over_z
 
 EXIT_OK = 0
@@ -70,7 +63,10 @@ def _load_graph(path: str, g6: bool) -> SimplicialGraph:
 
 
 def _emit(payload: str) -> None:
-    sys.stdout.write(payload if payload.endswith("\n") else payload + "\n")
+    # written apart, so a cover payload of many megabytes is not copied to add a newline
+    sys.stdout.write(payload)
+    if not payload.endswith("\n"):
+        sys.stdout.write("\n")
 
 
 def _emit_json(obj) -> None:
@@ -82,7 +78,7 @@ def cmd_split(args: argparse.Namespace) -> int:
     if not g.vertices:
         print("error: empty graph", file=sys.stderr)
         return EXIT_EMPTY
-    _emit_json(report_to_dict(splits_over_z(g)))
+    _emit(_payload_json(splits_over_z(g)._asdict()))  # the fields report_to_dict writes, in order
     return EXIT_OK
 
 
@@ -109,7 +105,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
     witness = report.witness
     defects = amalgam_defects if isinstance(witness, ZSplitWitness) else cover_defects
     verified = not defects(g, witness)
-    _emit_json({"z_split": report.z_split, "witness": witness_to_dict(witness), "verified": verified})
+    _emit(_payload_json({"z_split": report.z_split, "witness": witness, "verified": verified}))
     return EXIT_OK if verified else EXIT_CHECK_FAILED
 
 

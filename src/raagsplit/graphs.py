@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from itertools import combinations
-from typing import AbstractSet, Container, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import AbstractSet, Iterable, Iterator, Optional, Sequence
 
 
 class GraphError(ValueError):
@@ -26,6 +26,8 @@ class ParseError(GraphError):
         self.line = line
 
 
+# every vertex name matches this, so JSON has nothing to escape in one: the CLI writes
+# cover arrays by joining names (serialize._names_json)
 _TOKEN_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
 
@@ -277,19 +279,26 @@ def shortest_path_avoiding(g: SimplicialGraph, u: str, w: str, v: str) -> Option
     return next(_least_paths(g, u, v, (w,)))
 
 
-def _is_hamiltonian_cycle(
-    adjacent: Mapping[str, Container[str]], members: AbstractSet[str], cycle: Sequence[str]
-) -> bool:
-    """True iff ``cycle`` visits each of ``members`` exactly once along ``adjacent`` edges.
+def _arcs(g: SimplicialGraph) -> set[tuple[str, str]]:
+    """Both orientations of every edge of g: the steps a cycle in g may take."""
+    arcs = set(g.edges)
+    arcs.update((b, a) for a, b in g.edges)
+    return arcs
 
-    ``adjacent`` maps every vertex of the host graph to its neighbours, so the
+
+def _is_hamiltonian_cycle(
+    arcs: set[tuple[str, str]], members: AbstractSet[str], cycle: Sequence[str]
+) -> bool:
+    """True iff ``cycle`` visits each of ``members`` exactly once along ``arcs``.
+
+    ``arcs`` holds both orientations of every edge of the host graph, so the
     cycle is checked against the subgraph the host induces on ``members``
-    without building it.
+    without building it, and its steps are looked up in one set operation.
     """
     seq = list(cycle)
     if len(seq) < 3 or len(seq) != len(members) or set(seq) != members:
         return False
-    return all(b in adjacent[a] for a, b in zip(seq, seq[1:] + seq[:1]))
+    return arcs.issuperset(zip(seq, seq[1:] + seq[:1]))
 
 
 def verify_hamiltonian_cycle(g: SimplicialGraph, cycle: Sequence[str]) -> bool:
@@ -298,7 +307,7 @@ def verify_hamiltonian_cycle(g: SimplicialGraph, cycle: Sequence[str]) -> bool:
     Invalid witnesses (wrong length, repeats, foreign vertices, missing edges)
     return False; this never raises.
     """
-    return _is_hamiltonian_cycle(g._adj, set(g.vertices), cycle)
+    return _is_hamiltonian_cycle(_arcs(g), set(g.vertices), cycle)
 
 
 def clique_counts(g: SimplicialGraph) -> list[int]:

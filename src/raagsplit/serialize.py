@@ -6,6 +6,8 @@ bytes; golden-file tests rely on it.
 
 from __future__ import annotations
 
+import json
+
 from .graphs import GraphError, ParseError, SimplicialGraph
 from .jsj import BLACK, CyclicGroup, GraphOfGroups, RaagGroup
 from .splitting import NonSplitCover, SmallCaseWitness, SplitReport, Witness, ZSplitWitness
@@ -35,6 +37,44 @@ def report_to_dict(report: SplitReport) -> dict:
         "z_split": report.z_split,
         "witness": witness_to_dict(report.witness),
     }
+
+
+def _names_json(names) -> str:
+    """``json.dumps`` of a sequence of vertex names, which are tokens with nothing to escape."""
+    return '["' + '", "'.join(names) + '"]' if names else "[]"
+
+
+def _witness_json(w: Witness) -> str:
+    """``json.dumps(witness_to_dict(w))``, with a cover written by joining its names.
+
+    A span tuple that several entries share is written once and reused while
+    the same object comes round again.
+    """
+    if not isinstance(w, NonSplitCover):
+        return json.dumps(witness_to_dict(w))
+    written: dict[int, tuple[object, str]] = {}
+    items = []
+    for seg, (delta, cycle) in sorted(w.entries.items()):
+        hit = written.get(id(delta))
+        if hit is None or hit[0] is not delta:
+            hit = written[id(delta)] = (delta, _names_json(delta))
+        items.append(
+            '{"segment": ' + _names_json(seg) + ', "delta": ' + hit[1]
+            + ', "cycle": ' + _names_json(cycle) + "}"
+        )
+    return '{"kind": "cover", "cover": [' + ", ".join(items) + "]}"
+
+
+def _payload_json(fields: dict) -> str:
+    """``json.dumps(fields)`` where ``fields["witness"]`` is a witness record, not its dict.
+
+    The bytes are those of ``json.dumps`` with ``witness_to_dict`` of the
+    record in its place; a cover is written at C speed per name.
+    """
+    return "{" + ", ".join(
+        json.dumps(key) + ": " + (_witness_json(value) if key == "witness" else json.dumps(value))
+        for key, value in fields.items()
+    ) + "}"
 
 
 def _group_to_dict(group) -> dict:

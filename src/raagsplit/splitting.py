@@ -16,6 +16,7 @@ from .blocks import _lowpoint_scan, cut_vertices, is_biconnected
 from .graphs import (
     GraphError,
     SimplicialGraph,
+    _arcs,
     _component_avoiding,
     _is_hamiltonian_cycle,
     _least_paths,
@@ -185,12 +186,17 @@ def cover_defects(g: SimplicialGraph, cover: NonSplitCover) -> list[str]:
 
     A cover certifies "no Z-splitting" only on a connected graph with at
     least three vertices, so any other graph is a defect by itself.  Each
-    cycle is checked against g's adjacency, built once per call, so the cost
-    is O(n + m) plus the size of the cover; no subgraph is built per entry.
+    cycle's steps are looked up in one set of g's oriented edges, built once
+    per call, and each distinct span is made a set once, so the cost is
+    O(n + m) plus the size of the cover, at C speed per name; no subgraph is
+    built per entry.
     """
     if len(g.vertices) < 3 or len(connected_components(g)) != 1:
         return ["graph is not connected with at least three vertices"]
-    adjacent = {x: set(g.neighbors(x)) for x in g.vertices}
+    vertices = set(g.vertices)
+    arcs = _arcs(g)
+    # keyed by the span's value, so nothing the builder shares is trusted
+    spans: dict[tuple[str, ...], set[str]] = {}
     defects = []
     segments = set(two_edge_segments(g))
     for seg in sorted(segments):
@@ -202,8 +208,11 @@ def cover_defects(g: SimplicialGraph, cover: NonSplitCover) -> list[str]:
         if seg not in segments:
             defects.append(f"{label}: not a two-edge segment of the graph")
             continue
-        span = set(delta)
-        if not span <= adjacent.keys():
+        key = tuple(delta)
+        span = spans.get(key)
+        if span is None:
+            span = spans[key] = set(key)
+        if not span <= vertices:
             defects.append(f"{label}: span leaves the graph")
             continue
         if len(delta) < 3:
@@ -212,7 +221,7 @@ def cover_defects(g: SimplicialGraph, cover: NonSplitCover) -> list[str]:
         if not {u, v, w} <= span:
             defects.append(f"{label}: span does not contain the segment")
             continue
-        if not _is_hamiltonian_cycle(adjacent, span, cycle):
+        if not _is_hamiltonian_cycle(arcs, span, cycle):
             defects.append(f"{label}: cycle is not Hamiltonian in the span")
     return defects
 

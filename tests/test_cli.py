@@ -5,8 +5,9 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 
+from raagsplit import NonSplitCover, SplitReport, parse_graph, splits_over_z
 from raagsplit.cli import main
-from raagsplit.serialize import parse_graph6
+from raagsplit.serialize import _payload_json, parse_graph6, report_to_dict, witness_to_dict
 
 from conftest import graphs, scale_graph
 
@@ -303,6 +304,44 @@ class TestGoldenAtScale:
         path.write_text("".join(f"{u} {v}\n" for u, v in g.edges))
         assert main([cmd, str(path)]) == 0
         return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+class TestPayloadRenderer:
+    """The split and witness payloads are the bytes ``json.dumps`` writes from the dict forms."""
+
+    @staticmethod
+    def assert_same_bytes(report):
+        assert _payload_json(report._asdict()) == json.dumps(report_to_dict(report))
+        for verified in (True, False):
+            fields = {"z_split": report.z_split, "witness": report.witness, "verified": verified}
+            expected = dict(fields, witness=witness_to_dict(report.witness))
+            assert _payload_json(fields) == json.dumps(expected)
+
+    @given(graphs(min_vertices=3, max_vertices=7, connected=True))
+    @settings(max_examples=200)
+    def test_small_connected_graphs(self, g):
+        self.assert_same_bytes(splits_over_z(g))
+
+    @pytest.mark.parametrize("family", ["cycle", "grid", "ear"])
+    def test_covers_at_scale(self, family):
+        self.assert_same_bytes(splits_over_z(scale_graph(family, 300, 1)))
+
+    @pytest.mark.parametrize("text", ["a", "a b", "a\nb", STAR, "a b\nc"])
+    def test_small_case_and_amalgam_witnesses(self, text):
+        self.assert_same_bytes(splits_over_z(parse_graph(text)))
+
+    def test_equal_spans_that_are_separate_objects(self):
+        whole = ("a", "b", "c", "d")
+        copy = tuple(list(whole))
+        assert copy == whole and copy is not whole
+        entries = {
+            ("b", "c", "d"): (list(whole), ["c", "b", "a", "d"]),
+            ("a", "d", "c"): (copy, ("d", "a", "b", "c")),
+            ("a", "b", "c"): (whole, ("b", "a", "d", "c")),
+            ("b", "a", "d"): (("a", "b", "d"), ()),
+            ("a", "c", "d"): (whole, ("c", "d", "a", "b")),
+        }
+        self.assert_same_bytes(SplitReport(False, "no", NonSplitCover(entries=entries)))
 
 
 # ------------------------------------------------------------------- graph6

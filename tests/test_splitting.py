@@ -344,6 +344,8 @@ class TestCoverDefectsDifferential:
             (("a", "b", "c", "d"), ("c", "d", "a", "b"), []),
             (("a", "b"), ("b", "a"), ["entry ('a', 'b', 'c'): span has fewer than three vertices"]),
             (("a", "a", "b"), ("b", "a", "a"), ["entry ('a', 'b', 'c'): span does not contain the segment"]),
+            (["a", "b", "c", "d"], ["b", "a", "d", "c"], []),  # spans and cycles may be lists
+            (["a", "b", "c", "d"], ["b", "d", "a", "c"], NOT_HAMILTONIAN),
         ],
     )
     def test_square_entry(self, square, delta, cycle, expected):
@@ -351,6 +353,29 @@ class TestCoverDefectsDifferential:
         entries[("a", "b", "c")] = (delta, cycle)
         cover = NonSplitCover(entries=entries)
         assert cover_defects(square, cover) == expected == induced_cover_defects(square, cover)
+
+    def test_shared_span_carries_no_verdict_to_the_next_entry(self, square):
+        entries = dict(nonsplit_cover(square).entries)
+        first, second = sorted(entries)[:2]
+        span = entries[first][0]
+        assert entries[second][0] is span  # the square's spans are all one shared tuple
+        v, a, b, *rest = entries[second][1]
+        entries[second] = (span, (v, b, a, *rest))  # v-b is no edge of the square
+        cover = NonSplitCover(entries=entries)
+        expected = [f"entry {second}: cycle is not Hamiltonian in the span"]
+        assert cover_defects(square, cover) == expected == induced_cover_defects(square, cover)
+
+    def test_cycle_cover_with_one_cycle_left_open(self):
+        """Only the closing step of one cycle of a 300-cycle's cover misses an edge."""
+        g = scale_graph("cycle", 300, 1)
+        entries = dict(nonsplit_cover(g).entries)
+        seg = sorted(entries)[150]
+        delta, cycle = entries[seg]
+        cycle = cycle[5:] + cycle[:5]  # ends on a vertex outside the segment
+        entries[seg] = (tuple(sorted(cycle[:-1])), cycle[:-1])
+        cover = NonSplitCover(entries=entries)
+        expected = [f"entry {seg}: cycle is not Hamiltonian in the span"]
+        assert cover_defects(g, cover) == expected == induced_cover_defects(g, cover)
 
 
 class TestAmalgamDefects:
