@@ -3,7 +3,9 @@
 
 Enumerates every labeled graph on 3..max_n vertices, keeps the connected
 ones, and confirms that the z-splitting verdict is exactly the failure of
-biconnectivity recomputed from scratch.  Prints one census row per n.
+biconnectivity recomputed from scratch.  Prints one census row per n.  The
+rows come from ``raagsplit.cli.census_rows``, the same cross-check that
+``raag census`` runs, so a disagreement raises its ``RuntimeError``.
 
 Usage: verdict_sweep.py [max_n]   (default 6)
 """
@@ -11,29 +13,17 @@ Usage: verdict_sweep.py [max_n]   (default 6)
 import sys
 import time
 
-from raagsplit import connected_components
-from raagsplit.cli import labeled_graphs, oracle_biconnected
-from raagsplit.splitting import Z_SPLIT_YES, splits_over_z
+from raagsplit.cli import census_rows, labeled_graphs
 
 
 def sweep(max_n: int) -> None:
     for n in range(3, max_n + 1):
         start = time.perf_counter()
-        connected = splits = biconnected = 0
-        for g in labeled_graphs(n):
-            if len(connected_components(g)) != 1:
-                continue
-            connected += 1
-            verdict = splits_over_z(g).z_split == Z_SPLIT_YES
-            oracle = oracle_biconnected(g)
-            if verdict != (not oracle):
-                raise SystemExit(f"disagreement on {g!r}")
-            splits += verdict
-            biconnected += oracle
+        [row] = census_rows({n: labeled_graphs(n)})
         elapsed = time.perf_counter() - start
         print(
-            f"n={n}: connected={connected} splits_over_Z={splits} "
-            f"biconnected={biconnected} ({elapsed:.2f}s)"
+            f"n={n}: connected={row['connected']} splits_over_Z={row['splits_over_Z']} "
+            f"biconnected={row['biconnected']} ({elapsed:.2f}s)"
         )
 
 

@@ -16,9 +16,7 @@ from .graphs import (
     euler_characteristic,
     induced_subgraph,
     parse_graph,
-    shortest_path_avoiding,
     two_edge_segments,
-    verify_hamiltonian_cycle,
 )
 from .jsj import (
     CyclicGroup,
@@ -37,7 +35,6 @@ from .presentations import (
     check_coverage,
     check_euler,
     emit_presentation,
-    free_reduce,
     raag_presentation,
     smith_normal_form,
 )
@@ -86,7 +83,6 @@ __all__ = [
     "cut_vertices",
     "emit_presentation",
     "euler_characteristic",
-    "free_reduce",
     "induced_subgraph",
     "is_biconnected",
     "is_reduced",
@@ -94,12 +90,10 @@ __all__ = [
     "nonsplit_cover",
     "parse_graph",
     "raag_presentation",
-    "shortest_path_avoiding",
     "smith_normal_form",
     "splits_freely",
     "splits_over_z",
     "two_edge_segments",
     "verify_cover",
-    "verify_hamiltonian_cycle",
     "z_split_witness",
 ]

@@ -18,7 +18,6 @@ class BlockTree(NamedTuple):
 
     black: tuple[tuple[str, str], ...]              # (node id, cut vertex)
     white: tuple[tuple[str, tuple[str, ...]], ...]  # (node id, block vertices)
-    edges: frozenset[tuple[str, str]]               # (black id, white id)
 
 
 def _lowpoint_scan(g: SimplicialGraph) -> tuple[list[tuple[str, ...]], set[str], int]:
@@ -112,7 +111,5 @@ def block_tree(g: SimplicialGraph) -> BlockTree:
     if components != 1:
         raise GraphError("bicomponents are defined for connected graphs only")
     white = tuple((f"blk{i}", blk) for i, blk in enumerate(sorted(blocks)))
-    cut_id = {v: f"cut:{v}" for v in sorted(cuts)}
-    black = tuple((bid, v) for v, bid in cut_id.items())
-    edges = frozenset((cut_id[v], wid) for wid, blk in white for v in blk if v in cut_id)
-    return BlockTree(black=black, white=white, edges=edges)
+    black = tuple((f"cut:{v}", v) for v in sorted(cuts))
+    return BlockTree(black=black, white=white)

@@ -29,7 +29,7 @@ from .graphs import (
     induced_subgraph,
     parse_graph,
 )
-from .jsj import build_j0, collapse_to_j, is_reduced, jsj
+from .jsj import GraphOfGroups, build_j0, collapse_to_j, is_reduced, jsj
 from .presentations import abelianization, check_coverage, check_euler, emit_presentation
 from .serialize import _payload_json, gog_to_dict, gog_to_dot, graph_to_dot, parse_graph6
 from .splitting import Z_SPLIT_YES, ZSplitWitness, amalgam_defects, cover_defects, splits_over_z
@@ -82,10 +82,15 @@ def cmd_split(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_jsj(args: argparse.Namespace) -> int:
-    gog = build_j0(_load_graph(args.file, args.g6))
-    if args.stage == "j":
+def _decomposition(g: SimplicialGraph, stage: str) -> GraphOfGroups:
+    gog = build_j0(g)
+    if stage == "j":
         gog = collapse_to_j(gog)
+    return gog
+
+
+def cmd_jsj(args: argparse.Namespace) -> int:
+    gog = _decomposition(_load_graph(args.file, args.g6), args.stage)
     if args.format == "dot":
         _emit(gog_to_dot(gog))
     else:
@@ -133,10 +138,7 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
     if args.stage == "graph":
         _emit(graph_to_dot(g))
         return EXIT_OK
-    gog = build_j0(g)
-    if args.stage == "j":
-        gog = collapse_to_j(gog)
-    _emit(gog_to_dot(gog))
+    _emit(gog_to_dot(_decomposition(g, args.stage)))
     return EXIT_OK
 
 

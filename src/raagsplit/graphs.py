@@ -265,20 +265,6 @@ def _least_paths(
         yield path
 
 
-def shortest_path_avoiding(g: SimplicialGraph, u: str, w: str, v: str) -> Optional[list[str]]:
-    """Shortest u-w path in g minus v, or None if removal of v separates them.
-
-    Among all shortest paths the lexicographically least vertex sequence is
-    returned.
-    """
-    for x in (u, w, v):
-        if x not in g:
-            raise GraphError(f"vertex {x!r} not in graph")
-    if len({u, w, v}) != 3:
-        raise GraphError("u, w, v must be three distinct vertices")
-    return next(_least_paths(g, u, v, (w,)))
-
-
 def _arcs(g: SimplicialGraph) -> set[tuple[str, str]]:
     """Both orientations of every edge of g: the steps a cycle in g may take."""
     arcs = set(g.edges)
@@ -299,15 +285,6 @@ def _is_hamiltonian_cycle(
     if len(seq) < 3 or len(seq) != len(members) or set(seq) != members:
         return False
     return arcs.issuperset(zip(seq, seq[1:] + seq[:1]))
-
-
-def verify_hamiltonian_cycle(g: SimplicialGraph, cycle: Sequence[str]) -> bool:
-    """True iff ``cycle`` visits every vertex of g exactly once along edges.
-
-    Invalid witnesses (wrong length, repeats, foreign vertices, missing edges)
-    return False; this never raises.
-    """
-    return _is_hamiltonian_cycle(_arcs(g), set(g.vertices), cycle)
 
 
 def clique_counts(g: SimplicialGraph) -> list[int]:

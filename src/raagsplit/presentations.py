@@ -24,17 +24,6 @@ class Presentation(NamedTuple):
     relators: tuple[Word, ...]
 
 
-def free_reduce(word: Word) -> Word:
-    """Cancel adjacent inverse letters until none remain."""
-    out: list[tuple[int, int]] = []
-    for gen, exp in word:
-        if out and out[-1][0] == gen and out[-1][1] == -exp:
-            out.pop()
-        else:
-            out.append((gen, exp))
-    return tuple(out)
-
-
 def _commutator(i: int, j: int) -> Word:
     return ((i, 1), (j, 1), (i, -1), (j, -1))
 

@@ -198,8 +198,9 @@ def cover_defects(g: SimplicialGraph, cover: NonSplitCover) -> list[str]:
     # keyed by the span's value, so nothing the builder shares is trusted
     spans: dict[tuple[str, ...], set[str]] = {}
     defects = []
-    segments = set(two_edge_segments(g))
-    for seg in sorted(segments):
+    ordered = two_edge_segments(g)  # sorted, with no repeats
+    segments = set(ordered)
+    for seg in ordered:
         if seg not in cover.entries:
             defects.append(f"missing segment {seg}")
     for seg, (delta, cycle) in sorted(cover.entries.items()):

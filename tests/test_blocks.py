@@ -121,17 +121,22 @@ class TestBicomponents:
                 assert shared <= cuts
 
 
+def membership_edges(bt):
+    """The block tree's edges: (black id, white id) wherever the cut vertex lies in the block."""
+    return {(bid, wid) for bid, v in bt.black for wid, blk in bt.white if v in blk}
+
+
 class TestBlockTree:
     def test_star_shape(self, star):
         bt = block_tree(star)
         assert [v for _, v in bt.black] == ["c"]
         assert len(bt.white) == 3
-        assert len(bt.edges) == 3
+        assert len(membership_edges(bt)) == 3
 
     def test_two_triangles_path_of_five(self, two_triangles):
         bt = block_tree(two_triangles)
         assert len(bt.black) == 2 and len(bt.white) == 3
-        assert bt.edges == {
+        assert membership_edges(bt) == {
             ("cut:c", "blk0"),
             ("cut:c", "blk1"),
             ("cut:d", "blk1"),
@@ -140,20 +145,21 @@ class TestBlockTree:
 
     def test_triangle_single_white(self, triangle):
         bt = block_tree(triangle)
-        assert bt.black == () and len(bt.white) == 1 and bt.edges == frozenset()
+        assert bt.black == () and len(bt.white) == 1 and membership_edges(bt) == set()
 
     @given(graphs(min_vertices=2, max_vertices=8, connected=True))
     @settings(max_examples=60)
     def test_tree_shape_and_leaf_color(self, g):
         bt = block_tree(g)
+        edges = membership_edges(bt)
         n_nodes = len(bt.black) + len(bt.white)
-        assert len(bt.edges) == n_nodes - 1
+        assert len(edges) == n_nodes - 1
         # bipartite between black and white by construction; check connectivity
         if n_nodes > 1:
             reached = {bt.white[0][0]}
             frontier = [bt.white[0][0]]
             adj = {}
-            for b, w in bt.edges:
+            for b, w in edges:
                 adj.setdefault(b, []).append(w)
                 adj.setdefault(w, []).append(b)
             while frontier:
@@ -165,18 +171,10 @@ class TestBlockTree:
             assert len(reached) == n_nodes
         # every leaf is white: each cut vertex lies in at least two blocks
         degree = {}
-        for b, w in bt.edges:
+        for b, w in edges:
             degree[b] = degree.get(b, 0) + 1
         for bid, _ in bt.black:
             assert degree.get(bid, 0) >= 2
-
-    @given(graphs(min_vertices=2, max_vertices=8, connected=True))
-    @settings(max_examples=60)
-    def test_membership_edges(self, g):
-        bt = block_tree(g)
-        for bid, v in bt.black:
-            for wid, blk in bt.white:
-                assert ((bid, wid) in bt.edges) == (v in blk)
 
 
 @pytest.mark.parametrize(
@@ -198,4 +196,3 @@ def test_block_tree_matches_networkx_at_scale(family, n, seed):
         tuple(sorted(c)) for c in nx.biconnected_components(ref)
     )
     assert sorted(v for _, v in bt.black) == sorted(nx.articulation_points(ref))
-    assert bt.edges == {(bid, wid) for bid, v in bt.black for wid, blk in bt.white if v in blk}

@@ -18,7 +18,6 @@ from raagsplit import (
     connected_components,
     emit_presentation,
     euler_characteristic,
-    free_reduce,
     induced_subgraph,
     jsj,
     parse_graph,
@@ -290,14 +289,6 @@ class TestAbelianization:
 
     def test_no_relators(self):
         assert abelianization(Presentation(generators=("a", "b"), relators=())) == (2, [])
-
-
-class TestFreeReduce:
-    def test_cancellation(self):
-        assert free_reduce(((0, 1), (1, 1), (1, -1), (0, -1))) == ()
-
-    def test_partial(self):
-        assert free_reduce(((0, 1), (1, 1), (1, -1), (2, 1))) == ((0, 1), (2, 1))
 
 
 class TestChecks:

@@ -30,7 +30,7 @@ _LOOP = GoGEdge(
 )
 
 RECORDS = [
-    BlockTree(black=(), white=(("blk0", ("a", "b")),), edges=frozenset()),
+    BlockTree(black=(), white=(("blk0", ("a", "b")),)),
     RaagGroup(("a", "b")),
     CyclicGroup("a"),
     _VERTEX,

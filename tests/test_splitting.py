@@ -18,17 +18,22 @@ from raagsplit import (
     is_biconnected,
     nonsplit_cover,
     parse_graph,
-    shortest_path_avoiding,
     splits_freely,
     splits_over_z,
     two_edge_segments,
     verify_cover,
-    verify_hamiltonian_cycle,
     z_split_witness,
 )
 from raagsplit.cli import labeled_graphs, oracle_biconnected
+from raagsplit.graphs import _least_paths
 
-from conftest import exhaustive_bfs_parents, graphs, parent_chain, scale_graph
+from conftest import (
+    exhaustive_bfs_parents,
+    graphs,
+    oracle_hamiltonian_accepts,
+    parent_chain,
+    scale_graph,
+)
 
 
 def hub_graph(family):
@@ -132,7 +137,7 @@ class TestNonSplitCover:
         delta, cycle = cover.entries[("a", "b", "c")]
         assert delta == ("a", "b", "c", "d")
         assert cycle == ("b", "a", "d", "c")
-        assert verify_hamiltonian_cycle(induced_subgraph(square, delta), cycle)
+        assert oracle_hamiltonian_accepts(induced_subgraph(square, delta), cycle)
 
     def test_k4_uses_chord(self):
         k4 = parse_graph("a b\na c\na d\nb c\nb d\nc d")
@@ -146,7 +151,7 @@ class TestNonSplitCover:
     def test_entries_match_direct_path_calls(self, square):
         cover = nonsplit_cover(square)
         for (u, v, w), (delta, cycle) in cover.entries.items():
-            rho = shortest_path_avoiding(square, u, w, v)
+            rho = next(_least_paths(square, u, v, (w,)))
             assert cycle == (v, *rho)
             assert delta == tuple(sorted({v, *rho}))
 
@@ -217,7 +222,11 @@ class TestVerifyCover:
 
 
 def induced_cover_defects(g: SimplicialGraph, cover):
-    """``cover_defects`` as first written, kept as its reference: one induced subgraph per entry."""
+    """``cover_defects`` as first written, kept as its reference: one induced subgraph per entry.
+
+    Each cycle is judged by conftest's brute-force oracle, which shares no code
+    with the library's cycle check.
+    """
     if len(g.vertices) < 3 or len(connected_components(g)) != 1:
         return ["graph is not connected with at least three vertices"]
     defects = []
@@ -240,7 +249,7 @@ def induced_cover_defects(g: SimplicialGraph, cover):
         if not {u, v, w} <= set(delta):
             defects.append(f"{label}: span does not contain the segment")
             continue
-        if not verify_hamiltonian_cycle(induced_subgraph(g, delta), cycle):
+        if not oracle_hamiltonian_accepts(induced_subgraph(g, delta), cycle):
             defects.append(f"{label}: cycle is not Hamiltonian in the span")
     return defects
 
@@ -249,7 +258,7 @@ def detour_entries(g):
     """Each segment's shortest detour around its middle vertex, where one exists."""
     entries = {}
     for u, v, w in two_edge_segments(g):
-        path = shortest_path_avoiding(g, u, w, v)
+        path = next(_least_paths(g, u, v, (w,)))
         if path is not None:
             entries[(u, v, w)] = (tuple(sorted({v, *path})), (v, *path))
     return entries
