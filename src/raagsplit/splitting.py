@@ -128,12 +128,19 @@ def _z_split_witness(g: SimplicialGraph, cuts: Collection[str]) -> ZSplitWitness
 def nonsplit_cover(g: SimplicialGraph) -> NonSplitCover:
     """Hamiltonian cover certifying that A(g) does not split over Z.
 
-    For each two-edge segment u-v-w the shortest u-w path avoiding v closes up
-    with the segment into a Hamiltonian cycle of the induced subgraph it spans;
-    biconnectivity guarantees the path exists.  Each path is searched from
-    both ends in g - v: the search from u keeps its ball for every later
-    neighbour w of v, and a w outside it searches back until the two balls
-    meet, so the cost is the balls searched plus the size of the cover.
+    For each two-edge segment u-v-w the least shortest u-w path avoiding v
+    closes up with the segment into a Hamiltonian cycle of the induced
+    subgraph it spans; biconnectivity guarantees the path exists.  A vertex
+    of degree 2 with a neighbour of degree 2 lies inside a chain: a run of
+    degree-2 vertices between two ends of other degree.  Its path is forced:
+    down the chain to one end, along the least shortest path between the
+    ends, and up the chain to its other neighbour.  That middle path is
+    searched once per chain and direction, each cycle is built from slices,
+    and a graph that is one cycle needs no search at all.  Every other path
+    is searched from both ends in g - v: the search from u keeps its ball for
+    every later neighbour w of v, and a w outside it searches back until the
+    two balls meet, so the cost is the balls searched plus the size of the
+    cover.
     """
     if len(g.vertices) < 3 or not is_biconnected(g):
         raise GraphError("Hamiltonian covers exist for biconnected graphs on >= 3 vertices")
@@ -142,10 +149,24 @@ def nonsplit_cover(g: SimplicialGraph) -> NonSplitCover:
 
 def _nonsplit_cover(g: SimplicialGraph) -> NonSplitCover:
     """``nonsplit_cover`` for a graph already known to be biconnected on >= 3 vertices."""
-    whole = tuple(sorted(g.vertices))
+    adj = g._adj
+    whole = tuple(sorted(adj))
     entries: dict[tuple[str, str, str], tuple[tuple[str, ...], tuple[str, ...]]] = {}
+    chained: set[str] = set()
     for v in whole:
-        nv = g.neighbors(v)
+        if v in chained:
+            continue
+        nv = adj[v]
+        # a degree-2 vertex between two ends of other degree shares no middle path
+        if len(nv) == 2 and (len(adj[nv[0]]) == 2 or len(adj[nv[1]]) == 2):
+            ahead = _walk(adj, v, nv[1])
+            if ahead[-1] == v:  # g is one cycle
+                _cycle_entries((v, *ahead[:-1]), whole, entries)
+                break
+            chain = (*_walk(adj, v, nv[0])[::-1], v, *ahead)
+            _chain_entries(g, chain, whole, entries)
+            chained.update(chain[1:-1])
+            continue
         for i, u in enumerate(nv):
             if i + 1 == len(nv):
                 break
@@ -157,6 +178,57 @@ def _nonsplit_cover(g: SimplicialGraph) -> NonSplitCover:
                 delta = whole if len(cycle) == len(whole) else tuple(sorted(cycle))
                 entries[(u, v, w)] = (delta, cycle)
     return NonSplitCover(entries=dict(sorted(entries.items())))
+
+
+def _walk(adj: dict[str, tuple[str, ...]], v: str, x: str) -> list[str]:
+    """From v's neighbour ``x`` away from v to the first vertex not of degree 2, or back to v."""
+    run = [x]
+    prev = v
+    while x != v and len(adj[x]) == 2:
+        nx = adj[x]
+        prev, x = x, (nx[1] if nx[0] == prev else nx[0])
+        run.append(x)
+    return run
+
+
+def _cycle_entries(order: tuple[str, ...], whole: tuple[str, ...], entries: dict) -> None:
+    """The cover entries of the cycle ``order``, which is all of g: each path is the rest of it."""
+    n = len(order)
+    doubled = order * 2
+    for i, v in enumerate(order):
+        left, right = doubled[i + n - 1], doubled[i + 1]
+        if right < left:
+            entries[(right, v, left)] = (whole, doubled[i : i + n])
+        else:
+            entries[(left, v, right)] = (whole, doubled[i + n : i : -1])
+
+
+def _chain_entries(
+    g: SimplicialGraph, chain: tuple[str, ...], whole: tuple[str, ...], entries: dict
+) -> None:
+    """The cover entries of the inner vertices of ``chain`` = (a, c1, ..., ck, b).
+
+    In g - ci the segment's path runs down the chain to one end, along the
+    least shortest path between the ends, and up the chain to the other
+    neighbour.  The rest of the chain hangs off a and b as dead ends, so that
+    middle path is the same for every ci: it is searched once per direction,
+    and each cycle is three slices.
+    """
+    a, b = chain[0], chain[-1]
+    middles: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {}  # start end -> inner, span
+    for i in range(1, len(chain) - 1):
+        p, v, q = chain[i - 1], chain[i], chain[i + 1]
+        start, end = (a, b) if p < q else (b, a)
+        if start not in middles:
+            path = next(_least_paths(g, start, v, (end,)))  # type: ignore  # biconnected
+            inner = tuple(path[1:-1])
+            span = chain + inner
+            middles[start] = (inner, whole if len(span) == len(whole) else tuple(sorted(span)))
+        inner, span = middles[start]
+        if p < q:  # down to a, across to b, up to q
+            entries[(p, v, q)] = (span, chain[i::-1] + inner + chain[:i:-1])
+        else:  # down to b, across to a, up to p
+            entries[(q, v, p)] = (span, chain[i:] + inner + chain[:i])
 
 
 def amalgam_defects(g: SimplicialGraph, w: ZSplitWitness) -> list[str]:

@@ -225,6 +225,25 @@ class TestCensus:
         assert rows[0]["biconnected"] == 10
         assert rows[0]["splits_over_Z"] == 28
 
+    def test_two_lowpoint_scans_per_connected_graph(self, monkeypatch):
+        # one in splits_over_z, one in jsj; biconnectivity is read off the verdict
+        import raagsplit.blocks
+        import raagsplit.splitting
+        from raagsplit.cli import census_rows, labeled_graphs
+
+        scan = raagsplit.blocks._lowpoint_scan
+        scans = []
+
+        def counted(g):
+            scans.append(g)
+            return scan(g)
+
+        monkeypatch.setattr(raagsplit.splitting, "_lowpoint_scan", counted)
+        monkeypatch.setattr(raagsplit.blocks, "_lowpoint_scan", counted)
+        [row] = census_rows({5: labeled_graphs(5)})
+        assert row["connected"] == 728
+        assert len(scans) == 2 * 728
+
 
 class TestExportDot:
     def test_plain_graph(self, capsys, monkeypatch):

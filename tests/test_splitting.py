@@ -36,15 +36,54 @@ from conftest import (
 )
 
 
+def shuffled(edges, seed):
+    """The graph of integer ``edges`` under seeded shuffled two-digit names."""
+    perm = list(range(max(map(max, edges)) + 1))
+    random.Random(seed).shuffle(perm)
+    return SimplicialGraph.from_edges([(f"v{perm[a]:02d}", f"v{perm[b]:02d}") for a, b in edges])
+
+
 def hub_graph(family):
     """K_{2,40} ("k2") or the wheel W_60 ("wheel") under seeded shuffled names."""
     if family == "k2":
         edges = [(h, i) for h in (0, 1) for i in range(2, 42)]
     else:
         edges = [(i, i % 60 + 1) for i in range(1, 61)] + [(0, i) for i in range(1, 61)]
-    perm = list(range(max(b for _, b in edges) + 1))
-    random.Random(family).shuffle(perm)
-    return SimplicialGraph.from_edges([(f"v{perm[a]:02d}", f"v{perm[b]:02d}") for a, b in edges])
+    return shuffled(edges, family)
+
+
+def subdivided(edges, lengths):
+    """Each edge (a, b) of ``edges`` replaced by a chain with that many fresh inner vertices."""
+    out = []
+    fresh = max(map(max, edges)) + 1
+    for (a, b), k in zip(edges, lengths):
+        chain = [a, *range(fresh, fresh + k), b]
+        fresh += k
+        out.extend(zip(chain, chain[1:]))
+    return out
+
+
+THETA = subdivided([(0, 1)] * 6, range(1, 7))  # two hubs joined by chains of 1-6 inner vertices
+
+# graphs made of chains of degree-2 vertices, for the chain rule of the cover
+CHAIN_FAMILIES = {
+    **{f"C{n}": [(i, (i + 1) % n) for i in range(n)] for n in range(3, 9)},
+    "C40+chord": [(i, (i + 1) % 40) for i in range(40)] + [(0, 17)],
+    # parallel chains between the same two hubs, each with its own middle paths
+    "theta": THETA,
+    "theta+edge": THETA + [(0, 1)],
+    "subdivided-K4": subdivided(list(combinations(range(4), 2)), [0, 1, 2, 3, 5, 8]),
+}
+
+
+def oracle_cover(g):
+    """The cover's entries from one exhaustive lexicographic search per segment, sorted."""
+    expected = {}
+    for v in g.vertices:
+        for u, w in combinations(sorted(g.neighbors(v)), 2):
+            path = parent_chain(exhaustive_bfs_parents(g, u, v), w)
+            expected[(u, v, w)] = (tuple(sorted({v, *path})), (v, *path))
+    return sorted(expected.items())
 
 
 def amalgam_invariants_hold(g, w: ZSplitWitness) -> bool:
@@ -160,12 +199,61 @@ class TestNonSplitCover:
         # 300-vertex sparse graphs, where paths are long, and hubs with many
         # targets per search: K_{2,40} and the wheel W_60
         g = scale_graph(family, 300, 1) if family in ("ear", "grid", "cycle") else hub_graph(family)
-        expected = {}
-        for v in g.vertices:
-            for u, w in combinations(sorted(g.neighbors(v)), 2):
-                path = parent_chain(exhaustive_bfs_parents(g, u, v), w)
-                expected[(u, v, w)] = (tuple(sorted({v, *path})), (v, *path))
-        assert list(nonsplit_cover(g).entries.items()) == sorted(expected.items())
+        assert list(nonsplit_cover(g).entries.items()) == oracle_cover(g)
+
+    # the chain rule: a degree-2 vertex's path runs down its chain, along one middle
+    # path between the chain's ends, and back up; checked under several seeded namings
+    @pytest.mark.parametrize("family", CHAIN_FAMILIES)
+    def test_chain_rule_matches_one_full_search_per_pair(self, family):
+        for seed in range(8):
+            g = shuffled(CHAIN_FAMILIES[family], seed)
+            assert list(nonsplit_cover(g).entries.items()) == oracle_cover(g)
+
+    def test_chain_rule_on_every_small_biconnected_graph(self):
+        count = 0
+        for n in range(3, 7):
+            for g in labeled_graphs(n):
+                if is_biconnected(g):
+                    count += 1
+                    assert list(nonsplit_cover(g).entries.items()) == oracle_cover(g)
+        assert count == 11617
+
+    def test_a_cycle_needs_no_search(self, monkeypatch):
+        calls = self._count_searches(monkeypatch)
+        nonsplit_cover(scale_graph("cycle", 300, 1))
+        assert calls == []
+
+    def test_a_chain_searches_its_middle_once_per_direction(self, monkeypatch):
+        calls = self._count_searches(monkeypatch)
+        g = shuffled(THETA, 3)
+        nonsplit_cover(g)
+        hubs = {v for v in g.vertices if len(g.neighbors(v)) != 2}
+        chains = connected_components(induced_subgraph(g, set(g.vertices) - hubs))
+        assert sorted(map(len, chains)) == [1, 2, 3, 4, 5, 6]
+        for chain in chains:
+            searches = [(start, targets) for start, avoid, targets in calls if avoid in chain]
+            if len(chain) == 1:
+                assert len(searches) == 1  # a lone inner vertex keeps its own search
+                continue
+            # at most one search from each hub to the other, not one per inner vertex
+            assert 1 <= len(searches) <= 2
+            assert len({start for start, _ in searches}) == len(searches)
+            for start, targets in searches:
+                assert start in hubs and list(targets) == list(hubs - {start})
+
+    @staticmethod
+    def _count_searches(monkeypatch):
+        import raagsplit.splitting
+
+        search = raagsplit.splitting._least_paths
+        calls = []
+
+        def counted(g, start, avoid, targets):
+            calls.append((start, avoid, targets))
+            return search(g, start, avoid, targets)
+
+        monkeypatch.setattr(raagsplit.splitting, "_least_paths", counted)
+        return calls
 
     def test_whole_graph_spans_share_one_tuple(self):
         # every span of a cycle is the whole vertex set
