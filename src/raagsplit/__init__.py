@@ -6,7 +6,7 @@ and the reduced JSJ decomposition of a one-ended A(g) is read off the block
 tree of g.  All values are immutable and all functions are pure.
 """
 
-from .blocks import BlockTree, bicomponents, block_tree, cut_vertices, is_biconnected
+from .blocks import BlockTree, block_tree, cut_vertices, is_biconnected
 from .graphs import (
     GraphError,
     ParseError,
@@ -14,7 +14,6 @@ from .graphs import (
     clique_counts,
     connected_components,
     euler_characteristic,
-    induced_subgraph,
     parse_graph,
     two_edge_segments,
 )
@@ -39,7 +38,6 @@ from .presentations import (
     smith_normal_form,
 )
 from .splitting import (
-    FreeSplitWitness,
     NonSplitCover,
     SmallCaseWitness,
     SplitReport,
@@ -47,7 +45,6 @@ from .splitting import (
     amalgam_defects,
     cover_defects,
     nonsplit_cover,
-    splits_freely,
     splits_over_z,
     verify_cover,
     z_split_witness,
@@ -56,7 +53,6 @@ from .splitting import (
 __all__ = [
     "BlockTree",
     "CyclicGroup",
-    "FreeSplitWitness",
     "GoGEdge",
     "GoGVertex",
     "GraphError",
@@ -71,7 +67,6 @@ __all__ = [
     "ZSplitWitness",
     "abelianization",
     "amalgam_defects",
-    "bicomponents",
     "block_tree",
     "build_j0",
     "check_coverage",
@@ -83,7 +78,6 @@ __all__ = [
     "cut_vertices",
     "emit_presentation",
     "euler_characteristic",
-    "induced_subgraph",
     "is_biconnected",
     "is_reduced",
     "jsj",
@@ -91,7 +85,6 @@ __all__ = [
     "parse_graph",
     "raag_presentation",
     "smith_normal_form",
-    "splits_freely",
     "splits_over_z",
     "two_edge_segments",
     "verify_cover",

@@ -94,15 +94,6 @@ def is_biconnected(g: SimplicialGraph) -> bool:
     return components == 1 and not cuts
 
 
-def bicomponents(g: SimplicialGraph) -> list[tuple[str, ...]]:
-    """The blocks of a connected graph, sorted by their vertex tuples.
-
-    Every edge lies in exactly one block; two blocks share at most a cut
-    vertex.  Bridges show up as two-vertex blocks.
-    """
-    return [blk for _, blk in block_tree(g).white]
-
-
 def block_tree(g: SimplicialGraph) -> BlockTree:
     """The block tree: black cut-vertex nodes joined to the white blocks containing them."""
     if len(g.vertices) < 2:

@@ -26,7 +26,6 @@ from .graphs import (
     ParseError,
     SimplicialGraph,
     connected_components,
-    induced_subgraph,
     parse_graph,
 )
 from .jsj import GraphOfGroups, build_j0, collapse_to_j, is_reduced, jsj
@@ -153,14 +152,27 @@ def labeled_graphs(n: int, names: Optional[list[str]] = None) -> Iterator[Simpli
 
 
 def oracle_biconnected(g: SimplicialGraph) -> bool:
-    """Removal-definition biconnectivity, independent of the lowpoint scan."""
-    if len(g.vertices) < 2 or len(connected_components(g)) != 1:
-        return False
-    for v in g.vertices:
-        rest = [x for x in g.vertices if x != v]
-        if len(rest) >= 1 and len(connected_components(induced_subgraph(g, rest))) > 1:
-            return False
-    return True
+    """Removal-definition biconnectivity: connected, and still connected less any one vertex.
+
+    A closure over the vertex and edge lists that calls nothing in the
+    library, so it shares no code with the verdicts it checks.
+    """
+    vertices = g.vertices
+    adj: dict[str, list[str]] = {v: [] for v in vertices}
+    for u, w in g.edges:
+        adj[u].append(w)
+        adj[w].append(u)
+
+    def connected_without(removed: Optional[str]) -> bool:
+        rest = [v for v in vertices if v != removed]
+        seen, stack = {removed, rest[0]}, [rest[0]]  # so no search enters the removed vertex
+        while stack:
+            found = [y for y in adj[stack.pop()] if y not in seen]
+            seen.update(found)
+            stack.extend(found)
+        return seen.issuperset(rest)
+
+    return len(vertices) >= 2 and connected_without(None) and all(map(connected_without, vertices))
 
 
 def census_rows(graphs_by_n: dict[int, Iterable[SimplicialGraph]]) -> list[dict]:

@@ -1,9 +1,10 @@
-"""Finite simplicial graphs: parsing, induced subgraphs, paths, cycles, cliques.
+"""Finite simplicial graphs: parsing, components, cliques and two-edge segments.
 
-Vertices are identified by their names (tokens over ``[A-Za-z0-9_]``) and all
-tie-breaking is lexicographic over names, so every operation here is
-deterministic and byte-reproducible.  Graphs are immutable after construction
-and safe to share between threads.
+The private path search and cycle check behind the Hamiltonian cover live
+here too.  Vertices are identified by their names (tokens over
+``[A-Za-z0-9_]``) and all tie-breaking is lexicographic over names, so every
+operation here is deterministic and byte-reproducible.  Graphs are immutable
+after construction and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -143,19 +144,6 @@ def parse_graph(text: str) -> SimplicialGraph:
         else:
             raise ParseError(f"expected 1 or 2 tokens, got {len(tokens)}", lineno)
     return SimplicialGraph(order, pairs)
-
-
-def induced_subgraph(g: SimplicialGraph, members: Iterable[str]) -> SimplicialGraph:
-    """Subgraph on ``members`` with every edge of ``g`` between them."""
-    keep = set(members)
-    for v in keep:
-        if v not in g:
-            raise GraphError(f"vertex {v!r} not in host graph")
-    if len(keep) == len(g.vertices):
-        return g
-    verts = [v for v in g.vertices if v in keep]
-    edges = [e for e in g.edges if e[0] in keep and e[1] in keep]
-    return SimplicialGraph(verts, edges)
 
 
 def connected_components(g: SimplicialGraph) -> list[tuple[str, ...]]:

@@ -10,7 +10,7 @@ does.
 
 from __future__ import annotations
 
-from typing import Collection, NamedTuple, Optional, Union
+from typing import Collection, NamedTuple, Union
 
 from .blocks import _lowpoint_scan, cut_vertices, is_biconnected
 from .graphs import (
@@ -27,12 +27,6 @@ from .graphs import (
 Z_SPLIT_YES = "yes"
 Z_SPLIT_NO = "no"
 Z_SPLIT_HNN_SMALL_CASE = "hnn_small_case"
-
-
-class FreeSplitWitness(NamedTuple):
-    """A two-part vertex partition exhibiting a free product decomposition."""
-
-    parts: tuple[tuple[str, ...], tuple[str, ...]]
 
 
 class ZSplitWitness(NamedTuple):
@@ -70,19 +64,6 @@ class SplitReport(NamedTuple):
     free_split: bool
     z_split: str  # one of Z_SPLIT_YES / Z_SPLIT_NO / Z_SPLIT_HNN_SMALL_CASE
     witness: Witness
-
-
-def splits_freely(g: SimplicialGraph) -> tuple[bool, Optional[FreeSplitWitness]]:
-    """Whether A(g) is a nontrivial free product, with a partition witness."""
-    if len(g.vertices) < 2:
-        raise GraphError("free splitting is characterized for two or more vertices")
-    comps = connected_components(g)
-    if len(comps) == 1:
-        return False, None
-    first = comps[0]
-    members = set(first)
-    rest = tuple(sorted(v for v in g.vertices if v not in members))
-    return True, FreeSplitWitness(parts=(first, rest))
 
 
 def z_split_witness(g: SimplicialGraph) -> ZSplitWitness:

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from raagsplit import SimplicialGraph, parse_graph
+from raagsplit import GraphError, SimplicialGraph, parse_graph
 
 settings.register_profile(
     "default", deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -68,6 +68,22 @@ def graphs(draw, min_vertices=1, max_vertices=7, connected=False):
         attach = [draw(st.integers(min_value=0, max_value=i - 1)) for i in range(1, n)]
         edges = edges + [(order[i], order[j]) for i, j in zip(range(1, n), attach)]
     return SimplicialGraph(names, edges)
+
+
+# ------------------------------------------------------------------- helpers
+
+
+def induced_subgraph(g: SimplicialGraph, members) -> SimplicialGraph:
+    """Subgraph on ``members`` with every edge of ``g`` between them."""
+    keep = set(members)
+    for v in keep:
+        if v not in g:
+            raise GraphError(f"vertex {v!r} not in host graph")
+    if len(keep) == len(g.vertices):
+        return g
+    verts = [v for v in g.vertices if v in keep]
+    edges = [e for e in g.edges if e[0] in keep and e[1] in keep]
+    return SimplicialGraph(verts, edges)
 
 
 # ------------------------------------------------------------------- oracles

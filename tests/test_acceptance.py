@@ -204,15 +204,19 @@ def test_criterion_3_verdict_sweep():
     start = time.perf_counter()
     checked = 0
     disagreements = []
+    blocks = []  # per n, the graphs the removal oracle accepts
     for n in range(3, 7):
+        blocks.append(0)
         for g in connected_graphs(n):
             checked += 1
-            verdict = splits_over_z(g).z_split == Z_SPLIT_YES
-            if verdict == removal_oracle_biconnected(g):
+            biconnected = removal_oracle_biconnected(g)
+            blocks[-1] += biconnected
+            if (splits_over_z(g).z_split == Z_SPLIT_YES) == biconnected:
                 disagreements.append(g)
     elapsed = time.perf_counter() - start
     expected = sum(connected_labeled_count(n) for n in range(3, 7))
     assert checked == expected
+    assert blocks == [1, 10, 238, 11368]  # labeled blocks, OEIS A013922
     assert disagreements == []
     assert elapsed < 60.0
     criterion(3, f"splitting verdict vs removal oracle on {checked} graphs, 0 disagreements", elapsed)

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from raagsplit import (
     GraphError,
     SimplicialGraph,
-    bicomponents,
     block_tree,
     connected_components,
     cut_vertices,
@@ -15,7 +14,13 @@ from raagsplit import (
 )
 from raagsplit.cli import labeled_graphs
 
-from conftest import graphs, oracle_cut_vertices, oracle_is_biconnected, scale_graph
+from conftest import (
+    graphs,
+    induced_subgraph,
+    oracle_cut_vertices,
+    oracle_is_biconnected,
+    scale_graph,
+)
 
 
 class TestCutVertices:
@@ -71,6 +76,11 @@ class TestIsBiconnected:
         assert is_biconnected(g) == oracle_is_biconnected(g)
 
 
+def bicomponents(g):
+    """The blocks of g in block-tree order, sorted by their vertex tuples."""
+    return [blk for _, blk in block_tree(g).white]
+
+
 class TestBicomponents:
     def test_two_triangles(self, two_triangles):
         assert bicomponents(two_triangles) == [
@@ -105,8 +115,6 @@ class TestBicomponents:
             homes = [b for b in blocks if u in b and v in b]
             assert len(homes) == 1
         # blocks of size >= 3 are biconnected, size-2 blocks are edges
-        from raagsplit import induced_subgraph
-
         for b in blocks:
             if len(b) == 2:
                 assert b in g.edges

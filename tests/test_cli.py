@@ -9,7 +9,7 @@ from raagsplit import NonSplitCover, SplitReport, parse_graph, splits_over_z
 from raagsplit.cli import main
 from raagsplit.serialize import _payload_json, parse_graph6, report_to_dict, witness_to_dict
 
-from conftest import graphs, scale_graph
+from conftest import graphs, oracle_is_biconnected, scale_graph
 
 STAR = "c l1\nc l2\nc l3\n"
 TWO_TRIANGLES = "a b\na c\nb c\nc d\nd e\nd f\ne f\n"
@@ -243,6 +243,14 @@ class TestCensus:
         [row] = census_rows({5: labeled_graphs(5)})
         assert row["connected"] == 728
         assert len(scans) == 2 * 728
+
+    def test_oracle_matches_the_removal_definition(self):
+        # disconnected graphs too, so skipping the whole-graph connectivity test shows
+        from raagsplit.cli import labeled_graphs, oracle_biconnected
+
+        for n in range(1, 6):
+            for g in labeled_graphs(n):
+                assert oracle_biconnected(g) == oracle_is_biconnected(g), g
 
 
 class TestExportDot:

@@ -11,7 +11,6 @@ from raagsplit import (
     clique_counts,
     connected_components,
     euler_characteristic,
-    induced_subgraph,
     parse_graph,
     two_edge_segments,
 )
@@ -22,6 +21,7 @@ from raagsplit.graphs import _arcs, _is_hamiltonian_cycle, _least_paths
 from conftest import (
     exhaustive_bfs_parents,
     graphs,
+    induced_subgraph,
     oracle_bfs_distance,
     oracle_clique_counts,
     oracle_components,
@@ -86,6 +86,8 @@ class TestParse:
 
 
 class TestInducedSubgraph:
+    """conftest's ``induced_subgraph``, which other tests build their subgraphs with."""
+
     def test_edge_restriction(self, triangle):
         sub = induced_subgraph(triangle, {"a", "b"})
         assert sub.vertices == ("a", "b")

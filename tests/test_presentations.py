@@ -18,7 +18,6 @@ from raagsplit import (
     connected_components,
     emit_presentation,
     euler_characteristic,
-    induced_subgraph,
     jsj,
     parse_graph,
     raag_presentation,
@@ -27,7 +26,7 @@ from raagsplit import (
 from raagsplit.cli import labeled_graphs
 from raagsplit.jsj import CyclicGroup, GoGEdge, GoGVertex, GraphOfGroups, RaagGroup
 
-from conftest import graphs, scale_graph
+from conftest import graphs, induced_subgraph, scale_graph
 
 
 def windmill(k: int):

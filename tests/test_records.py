@@ -9,7 +9,6 @@ import pytest
 from raagsplit import (
     BlockTree,
     CyclicGroup,
-    FreeSplitWitness,
     GoGEdge,
     GoGVertex,
     GraphOfGroups,
@@ -37,7 +36,6 @@ RECORDS = [
     _LOOP,
     GraphOfGroups(vertices=(_VERTEX,), edges=(_LOOP,), source=parse_graph("a b")),
     Presentation(generators=("a", "b"), relators=()),
-    FreeSplitWitness(parts=(("a",), ("b",))),
     ZSplitWitness(side1=("a", "b"), side2=("b", "c"), vertex="b"),
     NonSplitCover({}),
     SmallCaseWitness("Z"),

@@ -14,11 +14,9 @@ from raagsplit import (
     amalgam_defects,
     connected_components,
     cover_defects,
-    induced_subgraph,
     is_biconnected,
     nonsplit_cover,
     parse_graph,
-    splits_freely,
     splits_over_z,
     two_edge_segments,
     verify_cover,
@@ -30,6 +28,7 @@ from raagsplit.graphs import _least_paths
 from conftest import (
     exhaustive_bfs_parents,
     graphs,
+    induced_subgraph,
     oracle_hamiltonian_accepts,
     parent_chain,
     scale_graph,
@@ -100,25 +99,20 @@ def amalgam_invariants_hold(g, w: ZSplitWitness) -> bool:
 
 
 class TestSplitsFreely:
+    """The free-splitting verdict: A(g) is a free product iff g is disconnected."""
+
     def test_edge_plus_vertex(self):
-        free, witness = splits_freely(parse_graph("a b\nc"))
-        assert free and witness.parts == (("a", "b"), ("c",))
+        assert splits_over_z(parse_graph("a b\nc")).free_split
 
     def test_two_triangles_connected(self, two_triangles):
-        assert splits_freely(two_triangles) == (False, None)
+        assert not splits_over_z(two_triangles).free_split
 
     def test_two_disjoint_edges(self):
-        free, witness = splits_freely(parse_graph("a b\nc d"))
-        assert free and witness.parts == (("a", "b"), ("c", "d"))
+        assert splits_over_z(parse_graph("a b\nc d")).free_split
 
     def test_long_path_plus_vertex(self):
         names = [f"p{i:04d}" for i in range(3000)]
-        free, witness = splits_freely(SimplicialGraph([*names, "z"], zip(names, names[1:])))
-        assert free and witness.parts == (tuple(names), ("z",))
-
-    def test_single_vertex_rejected(self):
-        with pytest.raises(GraphError):
-            splits_freely(SimplicialGraph(["a"]))
+        assert splits_over_z(SimplicialGraph([*names, "z"], zip(names, names[1:]))).free_split
 
 
 class TestZSplitWitness:
@@ -535,6 +529,7 @@ class TestSplitsOverZ:
         report = splits_over_z(SimplicialGraph(["a"]))
         assert report.z_split == "no"
         assert report.witness == SmallCaseWitness("Z")
+        assert not report.free_split
 
     def test_empty_rejected(self):
         with pytest.raises(GraphError):
