@@ -44,37 +44,38 @@ def _names_json(names) -> str:
     return '["' + '", "'.join(names) + '"]' if names else "[]"
 
 
-def _witness_json(w: Witness) -> str:
-    """``json.dumps(witness_to_dict(w))``, with a cover written by joining its names.
-
-    A span tuple that several entries share is written once and reused while
-    the same object comes round again.
-    """
-    if not isinstance(w, NonSplitCover):
-        return json.dumps(witness_to_dict(w))
-    written: dict[int, tuple[object, str]] = {}
-    items = []
-    for seg, (delta, cycle) in sorted(w.entries.items()):
-        hit = written.get(id(delta))
-        if hit is None or hit[0] is not delta:
-            hit = written[id(delta)] = (delta, _names_json(delta))
-        items.append(
-            '{"segment": ' + _names_json(seg) + ', "delta": ' + hit[1]
-            + ', "cycle": ' + _names_json(cycle) + "}"
-        )
-    return '{"kind": "cover", "cover": [' + ", ".join(items) + "]}"
-
-
 def _payload_json(fields: dict) -> str:
     """``json.dumps(fields)`` where ``fields["witness"]`` is a witness record, not its dict.
 
     The bytes are those of ``json.dumps`` with ``witness_to_dict`` of the
-    record in its place; a cover is written at C speed per name.
+    record in its place.  A cover is written at C speed per name, a span
+    tuple that several entries share is written once and reused while the
+    same object comes round again, and every piece goes into one list that
+    is joined once.
     """
-    return "{" + ", ".join(
-        json.dumps(key) + ": " + (_witness_json(value) if key == "witness" else json.dumps(value))
-        for key, value in fields.items()
-    ) + "}"
+    parts = []
+    for key, value in fields.items():
+        parts += (", " if parts else "{", json.dumps(key), ": ")
+        if key != "witness":
+            parts.append(json.dumps(value))
+        elif not isinstance(value, NonSplitCover):
+            parts.append(json.dumps(witness_to_dict(value)))
+        else:
+            parts.append('{"kind": "cover", "cover": [')
+            written: dict[int, tuple[object, str]] = {}
+            sep = ""
+            for seg, (delta, cycle) in sorted(value.entries.items()):
+                hit = written.get(id(delta))
+                if hit is None or hit[0] is not delta:
+                    hit = written[id(delta)] = (delta, _names_json(delta))
+                parts += (
+                    sep, '{"segment": ', _names_json(seg), ', "delta": ', hit[1],
+                    ', "cycle": ', _names_json(cycle), "}",
+                )
+                sep = ", "
+            parts.append("]}")
+    parts.append("}" if parts else "{}")
+    return "".join(parts)
 
 
 def _group_to_dict(group) -> dict:

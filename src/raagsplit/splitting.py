@@ -217,9 +217,13 @@ def amalgam_defects(g: SimplicialGraph, w: ZSplitWitness) -> list[str]:
 
     Valid means: the sides are proper, cover g, meet exactly in ``w.vertex``,
     and no edge joins the two sides away from that vertex, so g is the union
-    of the two induced subgraphs.
+    of the two induced subgraphs.  A malformed witness is a defect of its own.
     """
-    s1, s2, allv = set(w.side1), set(w.side2), set(g.vertices)
+    try:
+        s1, s2, allv = set(w.side1), set(w.side2), set(g.vertices)
+        only1, only2 = s1 - {w.vertex}, s2 - {w.vertex}
+    except TypeError:
+        return ["witness is not two sides and a vertex of vertex names"]
     defects = []
     if s1 | s2 != allv:
         defects.append("sides do not cover exactly the graph's vertices")
@@ -227,7 +231,6 @@ def amalgam_defects(g: SimplicialGraph, w: ZSplitWitness) -> list[str]:
         defects.append(f"sides do not meet in exactly {w.vertex!r}")
     if s1 == allv or s2 == allv:
         defects.append("a side is the whole graph")
-    only1, only2 = s1 - {w.vertex}, s2 - {w.vertex}
     for a, b in g.edges:
         if (a in only1 and b in only2) or (a in only2 and b in only1):
             defects.append(f"edge {(a, b)} joins the sides away from {w.vertex!r}")
@@ -239,44 +242,66 @@ def cover_defects(g: SimplicialGraph, cover: NonSplitCover) -> list[str]:
 
     A cover certifies "no Z-splitting" only on a connected graph with at
     least three vertices, so any other graph is a defect by itself.  Each
-    cycle's steps are looked up in one set of g's oriented edges, built once
-    per call, and each distinct span is made a set once, so the cost is
-    O(n + m) plus the size of the cover, at C speed per name; no subgraph is
-    built per entry.
+    distinct span, keyed by its value, is made a set and judged once.  A
+    cycle has its steps looked up in one set of g's oriented edges, built
+    once per call, unless it is the last checked cycle of its span read from
+    another start or in the other direction: it takes the same steps, so its
+    entry costs one comparison.  The cost is O(n + m) plus the size of the
+    cover, at C speed per name, and no subgraph is built per entry.  A
+    malformed entry is a defect of its own.
     """
     if len(g.vertices) < 3 or len(connected_components(g)) != 1:
         return ["graph is not connected with at least three vertices"]
     vertices = set(g.vertices)
     arcs = _arcs(g)
-    # keyed by the span's value, so nothing the builder shares is trusted
-    spans: dict[tuple[str, ...], set[str]] = {}
+    # span value -> its set, its defect or None, and its last checked cycle written twice;
+    # keyed by value, so nothing the builder shares is trusted
+    spans: dict[tuple, list] = {}
     defects = []
     ordered = two_edge_segments(g)  # sorted, with no repeats
     segments = set(ordered)
     for seg in ordered:
         if seg not in cover.entries:
             defects.append(f"missing segment {seg}")
-    for seg, (delta, cycle) in sorted(cover.entries.items()):
-        u, v, w = seg
-        label = f"entry {seg}"
+    try:
+        items = sorted(cover.entries.items())
+    except TypeError:  # keys of several types do not sort
+        return [*defects, "entries are not all keyed by segments of vertex names"]
+    for seg, entry in items:
         if seg not in segments:
-            defects.append(f"{label}: not a two-edge segment of the graph")
+            defects.append(f"entry {seg}: not a two-edge segment of the graph")
             continue
-        key = tuple(delta)
-        span = spans.get(key)
-        if span is None:
-            span = spans[key] = set(key)
-        if not span <= vertices:
-            defects.append(f"{label}: span leaves the graph")
-            continue
-        if len(delta) < 3:
-            defects.append(f"{label}: span has fewer than three vertices")
-            continue
-        if not {u, v, w} <= span:
-            defects.append(f"{label}: span does not contain the segment")
-            continue
-        if not _is_hamiltonian_cycle(arcs, span, cycle):
-            defects.append(f"{label}: cycle is not Hamiltonian in the span")
+        try:
+            delta, cycle = entry
+            key = tuple(delta)
+            known = spans.get(key)
+            if known is None:
+                span = set(key)
+                flaw = (
+                    "span leaves the graph" if not span <= vertices
+                    else "span has fewer than three vertices" if len(key) < 3
+                    else None
+                )
+                known = spans[key] = [span, flaw, ()]
+            span, flaw, ring = known
+            u, v, w = seg
+            if flaw is None and not (u in span and v in span and w in span):
+                flaw = "span does not contain the segment"
+            if flaw is None:
+                seq = tuple(cycle)
+                n = len(seq)
+                if ring and len(ring) == 2 * n and seq[0] in span:
+                    i = ring.index(seq[0])
+                    if seq == ring[i : i + n] or seq == ring[i + n : i : -1]:
+                        continue
+                if not _is_hamiltonian_cycle(arcs, span, seq):
+                    flaw = "cycle is not Hamiltonian in the span"
+                else:
+                    known[2] = seq * 2
+        except TypeError:
+            flaw = "not a span and a cycle of vertex names"
+        if flaw is not None:
+            defects.append(f"entry {seg}: {flaw}")
     return defects
 
 

@@ -302,6 +302,34 @@ class TestVerifyCover:
         junk = NonSplitCover(entries={("x", "y", "z"): (("x",), ("x", "y"))})
         assert verify_cover(triangle, junk) is False
 
+    MALFORMED = [
+        lambda delta, cycle: ((["a"], *delta[1:]), cycle),
+        lambda delta, cycle: (delta, (["b"], *cycle[1:])),
+        lambda delta, cycle: (delta, (cycle[0], ["a"], *cycle[2:])),
+        lambda delta, cycle: (5, cycle),
+        lambda delta, cycle: (delta, 5),
+        lambda delta, cycle: None,
+    ]
+
+    # the last entry meets a span whose cycle was already checked, the first does not
+    @pytest.mark.parametrize("spot", [0, -1])
+    @pytest.mark.parametrize("malform", MALFORMED)
+    def test_malformed_entry_is_a_defect(self, square, spot, malform):
+        entries = dict(nonsplit_cover(square).entries)
+        seg = sorted(entries)[spot]
+        entries[seg] = malform(*entries[seg])
+        expected = [f"entry {seg}: not a span and a cycle of vertex names"]
+        assert cover_defects(square, NonSplitCover(entries=entries)) == expected
+
+    @pytest.mark.parametrize("key", [5, ("a", "d", 5)])  # ("a", "d", "c") is a key
+    def test_unsortable_keys_are_a_defect(self, square, key):
+        entries = dict(nonsplit_cover(square).entries)
+        entries[key] = entries.pop(("a", "b", "c"))
+        assert cover_defects(square, NonSplitCover(entries=entries)) == [
+            "missing segment ('a', 'b', 'c')",
+            "entries are not all keyed by segments of vertex names",
+        ]
+
 
 def induced_cover_defects(g: SimplicialGraph, cover):
     """``cover_defects`` as first written, kept as its reference: one induced subgraph per entry.
@@ -407,6 +435,19 @@ class TestCoverDefectsDifferential:
         cover = NonSplitCover(entries=entries)
         assert cover_defects(g, cover) == induced_cover_defects(g, cover)
 
+    # covers whose entries share spans and repeat one cycle from other starts, so most
+    # entries meet the comparison with an already checked cycle instead of a full check
+    @pytest.mark.parametrize("family", [*CHAIN_FAMILIES, "cycle60"])
+    @given(data=st.data())
+    @settings(max_examples=30)
+    def test_matches_where_cycles_repeat(self, family, data):
+        g = scale_graph("cycle", 60, 1) if family == "cycle60" else shuffled(CHAIN_FAMILIES[family], 0)
+        entries = dict(nonsplit_cover(g).entries)
+        for _ in range(data.draw(st.integers(min_value=0, max_value=3))):
+            mutate(g, entries, data)
+        cover = NonSplitCover(entries=entries)
+        assert cover_defects(g, cover) == induced_cover_defects(g, cover)
+
     @given(graphs(min_vertices=3, max_vertices=7, connected=True), st.data())
     @settings(max_examples=60)
     def test_rotated_and_reversed_cycles_still_certify(self, g, data):
@@ -430,6 +471,7 @@ class TestCoverDefectsDifferential:
             (("a", "b", "c", "d", "zz"), ("b", "a", "d", "c"), ["entry ('a', 'b', 'c'): span leaves the graph"]),
             (("a", "b", "c", "d"), ("b", "d", "a", "c"), NOT_HAMILTONIAN),  # b-d is no edge
             (("a", "b", "c", "d"), ("b", "a", "d"), NOT_HAMILTONIAN),
+            (("a", "b", "c", "d"), (), NOT_HAMILTONIAN),
             (("a", "b", "c"), ("a", "b", "c"), NOT_HAMILTONIAN),  # no closing edge c-a
             (("a", "b", "c", "d"), ("a", "d", "c", "b"), []),
             (("a", "b", "c", "d"), ("c", "d", "a", "b"), []),
@@ -468,6 +510,31 @@ class TestCoverDefectsDifferential:
         expected = [f"entry {seg}: cycle is not Hamiltonian in the span"]
         assert cover_defects(g, cover) == expected == induced_cover_defects(g, cover)
 
+    def test_a_cycle_cover_checks_one_cycle(self, monkeypatch):
+        import raagsplit.splitting
+
+        check = raagsplit.splitting._is_hamiltonian_cycle
+        calls = []
+
+        def counted(arcs, members, cycle):
+            calls.append(cycle)
+            return check(arcs, members, cycle)
+
+        monkeypatch.setattr(raagsplit.splitting, "_is_hamiltonian_cycle", counted)
+        g = scale_graph("cycle", 300, 1)
+        assert cover_defects(g, nonsplit_cover(g)) == []
+        assert len(calls) == 1  # every other cycle is the first read from another start
+
+    def test_a_rotation_with_two_names_swapped_is_checked(self):
+        g = scale_graph("cycle", 300, 1)
+        entries = dict(nonsplit_cover(g).entries)
+        first, seg = sorted(entries)[0], sorted(entries)[150]
+        cycle = entries[first][1][40:] + entries[first][1][:40]
+        entries[seg] = (entries[seg][0], cycle[:7] + (cycle[8], cycle[7]) + cycle[9:])
+        cover = NonSplitCover(entries=entries)
+        expected = [f"entry {seg}: cycle is not Hamiltonian in the span"]
+        assert cover_defects(g, cover) == expected == induced_cover_defects(g, cover)
+
 
 class TestAmalgamDefects:
     def test_generated_witness_accepted(self, two_triangles):
@@ -481,6 +548,13 @@ class TestAmalgamDefects:
     def test_whole_graph_side_rejected(self, path3):
         w = ZSplitWitness(side1=("a", "b", "c"), side2=("b",), vertex="b")
         assert "a side is the whole graph" in amalgam_defects(path3, w)
+
+    @pytest.mark.parametrize(
+        "side1, vertex", [((["a"], "b"), "b"), (("a", "b"), ["b"]), (5, "b")]
+    )
+    def test_malformed_witness_is_a_defect(self, path3, side1, vertex):
+        w = ZSplitWitness(side1=side1, side2=("b", "c"), vertex=vertex)
+        assert amalgam_defects(path3, w) == ["witness is not two sides and a vertex of vertex names"]
 
 
 class TestCoverPrecondition:
