@@ -30,7 +30,7 @@ from .graphs import (
 )
 from .jsj import GraphOfGroups, build_j0, collapse_to_j, is_reduced, jsj
 from .presentations import abelianization, check_coverage, check_euler, emit_presentation
-from .serialize import _payload_json, gog_to_dict, gog_to_dot, graph_to_dot, parse_graph6
+from .serialize import _gog_json, _payload_json, gog_to_dot, graph_to_dot, parse_graph6
 from .splitting import Z_SPLIT_YES, ZSplitWitness, amalgam_defects, cover_defects, splits_over_z
 
 EXIT_OK = 0
@@ -72,10 +72,17 @@ def _emit_json(obj) -> None:
     _emit(json.dumps(obj))
 
 
+def _is_empty(g: SimplicialGraph) -> bool:
+    """True, after saying so on stderr, when g has no vertex: the caller then exits 3."""
+    if g.vertices:
+        return False
+    print("error: empty graph", file=sys.stderr)
+    return True
+
+
 def cmd_split(args: argparse.Namespace) -> int:
     g = _load_graph(args.file, args.g6)
-    if not g.vertices:
-        print("error: empty graph", file=sys.stderr)
+    if _is_empty(g):
         return EXIT_EMPTY
     _emit(_payload_json(splits_over_z(g)._asdict()))  # the fields report_to_dict writes, in order
     return EXIT_OK
@@ -89,18 +96,17 @@ def _decomposition(g: SimplicialGraph, stage: str) -> GraphOfGroups:
 
 
 def cmd_jsj(args: argparse.Namespace) -> int:
-    gog = _decomposition(_load_graph(args.file, args.g6), args.stage)
-    if args.format == "dot":
-        _emit(gog_to_dot(gog))
-    else:
-        _emit_json(gog_to_dict(gog))
+    g = _load_graph(args.file, args.g6)
+    if _is_empty(g):
+        return EXIT_EMPTY
+    gog = _decomposition(g, args.stage)
+    _emit(gog_to_dot(gog) if args.format == "dot" else _gog_json(gog))
     return EXIT_OK
 
 
 def cmd_witness(args: argparse.Namespace) -> int:
     g = _load_graph(args.file, args.g6)
-    if not g.vertices:
-        print("error: empty graph", file=sys.stderr)
+    if _is_empty(g):
         return EXIT_EMPTY
     if len(g.vertices) < 3:
         print("error: witnesses are produced for graphs with at least three vertices", file=sys.stderr)
@@ -115,6 +121,8 @@ def cmd_witness(args: argparse.Namespace) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     g = _load_graph(args.file, args.g6)
+    if _is_empty(g):
+        return EXIT_EMPTY
     decomposition = jsj(g)
     rank, torsion = abelianization(emit_presentation(decomposition))
     results = [
@@ -137,6 +145,8 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
     if args.stage == "graph":
         _emit(graph_to_dot(g))
         return EXIT_OK
+    if _is_empty(g):
+        return EXIT_EMPTY
     _emit(gog_to_dot(_decomposition(g, args.stage)))
     return EXIT_OK
 

@@ -28,7 +28,7 @@ class ParseError(GraphError):
 
 
 # every vertex name matches this, so JSON has nothing to escape in one: the CLI writes
-# cover arrays by joining names (serialize._names_json)
+# cover arrays and decompositions by joining names (serialize._names_json, _gog_json)
 _TOKEN_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
 
@@ -49,11 +49,9 @@ class SimplicialGraph:
     __slots__ = ("vertices", "edges", "_adj")
 
     def __init__(self, vertices: Iterable[str] = (), edges: Iterable[Sequence[str]] = ()):
-        seen: dict[str, None] = {}
+        adj: dict[str, set[str]] = {}
         for name in vertices:
-            seen.setdefault(_check_token(name), None)
-        adj: dict[str, set[str]] = {v: set() for v in seen}
-        edge_set: set[tuple[str, str]] = set()
+            adj.setdefault(_check_token(name), set())
         for pair in edges:
             try:
                 u, v = pair
@@ -65,12 +63,29 @@ class SimplicialGraph:
             if not declared:
                 missing = u if u not in adj else v
                 raise GraphError(f"edge endpoint {missing!r} is not a declared vertex")
-            edge_set.add((u, v) if u < v else (v, u))
             adj[u].add(v)
             adj[v].add(u)
-        self.vertices: tuple[str, ...] = tuple(seen)
-        self.edges: tuple[tuple[str, str], ...] = tuple(sorted(edge_set))
+        self._fill(adj)
+
+    @classmethod
+    def _trusted(cls, adj: dict[str, set[str]]) -> "SimplicialGraph":
+        """The graph on ``adj``'s keys, in their order, with nothing checked.
+
+        ``adj`` must be symmetric, free of self-loops and keyed by valid
+        names: the parser, which validates each name once, builds it so.
+        """
+        g = cls.__new__(cls)
+        g._fill(adj)
+        return g
+
+    def _fill(self, adj: dict[str, set[str]]) -> None:
+        self.vertices: tuple[str, ...] = tuple(adj)
         self._adj: dict[str, tuple[str, ...]] = {v: tuple(sorted(ns)) for v, ns in adj.items()}
+        # each vertex's later neighbours, in sorted order: the sorted edge list without a sort of pairs
+        nbrs = self._adj
+        self.edges: tuple[tuple[str, str], ...] = tuple(
+            [(u, v) for u in sorted(nbrs) for v in nbrs[u] if u < v]
+        )
 
     @classmethod
     def from_edges(cls, edges: Iterable[Sequence[str]], isolated: Iterable[str] = ()) -> "SimplicialGraph":
@@ -122,28 +137,35 @@ def parse_graph(text: str) -> SimplicialGraph:
     >>> g.vertices, g.edges
     (('a', 'b', 'c'), (('a', 'b'), ('b', 'c')))
     """
-    order: dict[str, None] = {}
-    pairs: list[tuple[str, str]] = []
+    # each name is matched once, on the first line it appears on: a key of adj is valid
+    adj: dict[str, set[str]] = {}
+    valid = _TOKEN_RE.match
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        tokens = raw.split()
+        if not tokens or tokens[0][0] == "#":
             continue
-        tokens = line.split()
-        for tok in tokens:
-            if not _TOKEN_RE.match(tok):
-                raise ParseError(f"malformed token {tok!r}", lineno)
-        if len(tokens) == 1:
-            order.setdefault(tokens[0], None)
-        elif len(tokens) == 2:
+        if len(tokens) == 2:
             u, v = tokens
+            if u not in adj:
+                if not valid(u):
+                    raise ParseError(f"malformed token {u!r}", lineno)
+                adj[u] = set()
+            if v not in adj:
+                if not valid(v):
+                    raise ParseError(f"malformed token {v!r}", lineno)
+                adj[v] = set()
             if u == v:
                 raise ParseError(f"self-loop declared at {u!r}", lineno)
-            order.setdefault(u, None)
-            order.setdefault(v, None)
-            pairs.append((u, v))
-        else:
+            adj[u].add(v)
+            adj[v].add(u)
+            continue
+        for tok in tokens:
+            if tok not in adj and not valid(tok):
+                raise ParseError(f"malformed token {tok!r}", lineno)
+        if len(tokens) != 1:
             raise ParseError(f"expected 1 or 2 tokens, got {len(tokens)}", lineno)
-    return SimplicialGraph(order, pairs)
+        adj.setdefault(tokens[0], set())
+    return SimplicialGraph._trusted(adj)
 
 
 def connected_components(g: SimplicialGraph) -> list[tuple[str, ...]]:

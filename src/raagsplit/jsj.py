@@ -95,42 +95,32 @@ def build_j0(g: SimplicialGraph) -> GraphOfGroups:
         bt = block_tree(g)
     except GraphError:  # on three or more vertices only a disconnected graph fails
         raise GraphError("decomposition needs a connected graph with at least three vertices") from None
-    cut_id = {v: bid for bid, v in bt.black}
+    # records are built positionally; a cut vertex's group and inclusions are one object
+    # each, shared by its black vertex, its edges and its loops
+    vertex, edge = GoGVertex._make, GoGEdge._make
+    cut = {v: (bid, CyclicGroup(v), (v, v)) for bid, v in bt.black}
 
     vertices: list[GoGVertex] = []
-    tree_edges: list[tuple[str, str, str]] = []  # (black id, white id, cut vertex)
+    edges: list[GoGEdge] = []
     loops: list[tuple[str, str, str]] = []  # (white id, cut vertex, stable letter)
     for wid, blk in bt.white:
-        cuts = [v for v in blk if v in cut_id]
-        tree_edges.extend((cut_id[v], wid, v) for v in cuts)
-        toral = len(blk) == 2
-        hanging = toral and len(cuts) == 1
-        if hanging:
+        cuts = [v for v in blk if v in cut]
+        for v in cuts:
+            bid, group, inclusions = cut[v]
+            edges.append(edge((f"e{len(edges)}", (bid, wid), group, inclusions, None)))
+        if len(blk) != 2:
+            vertices.append(vertex((wid, WHITE, RaagGroup(blk), False, False, blk, ())))
+        elif len(cuts) == 1:  # hanging
             v = cuts[0]
             loops.append((wid, v, blk[1] if v == blk[0] else blk[0]))
-            group: GroupDescriptor = CyclicGroup(v)
+            vertices.append(vertex((wid, WHITE, cut[v][1], True, True, blk, ())))
         else:
-            group = RaagGroup(blk)
-        vertices.append(
-            GoGVertex(id=wid, color=WHITE, group=group, toral=toral, hanging=hanging, block=blk)
-        )
+            vertices.append(vertex((wid, WHITE, RaagGroup(blk), True, False, blk, ())))
     for bid, v in bt.black:
-        vertices.append(GoGVertex(id=bid, color=BLACK, group=CyclicGroup(v)))
-
-    edges = [
-        GoGEdge(id=f"e{i}", ends=(bid, wid), group=CyclicGroup(v), inclusions=(v, v))
-        for i, (bid, wid, v) in enumerate(tree_edges)
-    ]
+        vertices.append(vertex((bid, BLACK, cut[v][1], False, False, None, ())))
     for wid, v, w in loops:
-        edges.append(
-            GoGEdge(
-                id=f"e{len(edges)}",
-                ends=(wid, wid),
-                group=CyclicGroup(v),
-                inclusions=(v, v),
-                stable_letter=w,
-            )
-        )
+        _, group, inclusions = cut[v]
+        edges.append(edge((f"e{len(edges)}", (wid, wid), group, inclusions, w)))
     return GraphOfGroups(vertices=tuple(vertices), edges=tuple(edges), source=g)
 
 
@@ -142,46 +132,51 @@ def collapse_to_j(j0: GraphOfGroups) -> GraphOfGroups:
     inclusions unchanged.  Already-reduced inputs come back structurally equal,
     so the operation is idempotent.
     """
-    by_id = {v.id: v for v in j0.vertices}
-    incident: dict[str, list[GoGEdge]] = {v.id: [] for v in j0.vertices}
+    # the other end of each non-loop edge at a black vertex, in edge order: one pass
+    others: dict[str, list[str]] = {v.id: [] for v in j0.vertices if v.color == BLACK}
     for e in j0.edges:
-        if not e.is_loop:
-            incident[e.ends[0]].append(e)
-            incident[e.ends[1]].append(e)
+        a, b = e.ends
+        if a != b:
+            if a in others:
+                others[a].append(b)
+            if b in others:
+                others[b].append(a)
 
+    by_id = {v.id: v for v in j0.vertices}
     target: dict[str, str] = {}
-    for v in j0.vertices:
-        if v.color != BLACK or len(incident[v.id]) != 2:
-            continue
-        whites = [eid for e in incident[v.id] for eid in e.ends if eid != v.id]
-        target[v.id] = min(whites, key=lambda wid: by_id[wid].block or ())
-
     absorbed: dict[str, list[str]] = {}
-    for bid, wid in target.items():
-        gen = by_id[bid].group.generator  # type: ignore[union-attr]
-        absorbed.setdefault(wid, []).append(gen)
+    for bid, ends in others.items():
+        if len(ends) != 2:
+            continue
+        w, x = ends
+        if (by_id[x].block or ()) < (by_id[w].block or ()):  # the first least block wins a tie
+            w = x
+        target[bid] = w
+        absorbed.setdefault(w, []).append(by_id[bid].group.generator)  # type: ignore[union-attr]
 
+    vertex, edge = GoGVertex._make, GoGEdge._make
     vertices = []
     for v in j0.vertices:
         if v.id in target:
             continue
-        if v.id in absorbed:
-            merged = tuple(sorted(set(v.absorbed) | set(absorbed[v.id])))
-            vertices.append(v._replace(color=MERGED, absorbed=merged))
-        else:
-            vertices.append(v)
+        gens = absorbed.get(v.id)
+        if gens is not None:
+            merged = tuple(sorted({*v.absorbed, *gens}))
+            v = vertex((v.id, MERGED, v.group, v.toral, v.hanging, v.block, merged))
+        vertices.append(v)
 
     edges = []
     for e in j0.edges:
         a, b = e.ends
-        if a in target or b in target:
-            black, other = (a, b) if a in target else (b, a)
-            if target[black] == other:
+        if a in target:
+            if target[a] == b:
                 continue  # the collapsed edge
-            new_ends = (target[black], other) if a in target else (other, target[black])
-            edges.append(e._replace(ends=new_ends))
-        else:
-            edges.append(e)
+            e = edge((e.id, (target[a], b), e.group, e.inclusions, e.stable_letter))
+        elif b in target:
+            if target[b] == a:
+                continue
+            e = edge((e.id, (a, target[b]), e.group, e.inclusions, e.stable_letter))
+        edges.append(e)
     return GraphOfGroups(vertices=tuple(vertices), edges=tuple(edges), source=j0.source)
 
 

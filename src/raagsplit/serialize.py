@@ -39,6 +39,9 @@ def report_to_dict(report: SplitReport) -> dict:
     }
 
 
+_JSON_BOOL = {False: "false", True: "true"}
+
+
 def _names_json(names) -> str:
     """``json.dumps`` of a sequence of vertex names, which are tokens with nothing to escape."""
     return '["' + '", "'.join(names) + '"]' if names else "[]"
@@ -109,6 +112,38 @@ def gog_to_dict(gog: GraphOfGroups) -> dict:
             for e in gog.edges
         ],
     }
+
+
+def _gog_json(gog: GraphOfGroups) -> str:
+    """``json.dumps(gog_to_dict(gog))``, for a decomposition built by ``build_j0`` or ``collapse_to_j``.
+
+    Every id, color, name and stable letter of such a decomposition is a
+    token with nothing to escape, so each record is written as one f-string
+    and the records of each list are joined once.
+    """
+    vertices = []
+    for v in gog.vertices:
+        group = v.group
+        if isinstance(group, RaagGroup):
+            text = '{"kind": "raag", "vertices": ' + _names_json(group.vertices) + "}"
+        elif isinstance(group, CyclicGroup):
+            text = '{"kind": "cyclic", "vertices": ["' + group.generator + '"]}'
+        else:
+            raise GraphError(f"unknown group descriptor {group!r}")
+        vertices.append(
+            f'{{"id": "{v.id}", "color": "{v.color}", "group": {text}, '
+            f'"hanging": {_JSON_BOOL[v.hanging]}, "toral": {_JSON_BOOL[v.toral]}}}'
+        )
+    edges = []
+    for e in gog.edges:
+        a, b = e.ends
+        letter = e.stable_letter
+        edges.append(
+            f'{{"id": "{e.id}", "ends": ["{a}", "{b}"], "group_vertex": "{e.group.generator}", '
+            f'"loop": {_JSON_BOOL[a == b]}, "stable_letter": '
+            + ("null}" if letter is None else f'"{letter}"}}')
+        )
+    return f'{{"vertices": [{", ".join(vertices)}], "edges": [{", ".join(edges)}]}}'
 
 
 def _group_label(group) -> str:

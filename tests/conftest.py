@@ -17,7 +17,18 @@ import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from raagsplit import GraphError, SimplicialGraph, parse_graph
+from raagsplit import (
+    CyclicGroup,
+    GoGEdge,
+    GoGVertex,
+    GraphError,
+    GraphOfGroups,
+    RaagGroup,
+    SimplicialGraph,
+    block_tree,
+    parse_graph,
+)
+from raagsplit.jsj import BLACK, MERGED, WHITE
 
 settings.register_profile(
     "default", deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -196,6 +207,192 @@ def oracle_hamiltonian_accepts(g: SimplicialGraph, seq) -> bool:
         return False
     edge_set = {frozenset(e) for e in g.edges}
     return all(frozenset((seq[i], seq[(i + 1) % len(seq)])) in edge_set for i in range(len(seq)))
+
+
+# ------------------------------------------------- frozen decomposition builders
+
+
+def frozen_build_j0(g: SimplicialGraph) -> GraphOfGroups:
+    """``jsj.build_j0`` as it was before its records were built positionally.
+
+    Kept verbatim so the lean builder can be compared record for record.
+    """
+    if len(g.vertices) < 3:
+        raise GraphError("decomposition needs a connected graph with at least three vertices")
+    try:
+        bt = block_tree(g)
+    except GraphError:
+        raise GraphError("decomposition needs a connected graph with at least three vertices") from None
+    cut_id = {v: bid for bid, v in bt.black}
+
+    vertices = []
+    tree_edges = []
+    loops = []
+    for wid, blk in bt.white:
+        cuts = [v for v in blk if v in cut_id]
+        tree_edges.extend((cut_id[v], wid, v) for v in cuts)
+        toral = len(blk) == 2
+        hanging = toral and len(cuts) == 1
+        if hanging:
+            v = cuts[0]
+            loops.append((wid, v, blk[1] if v == blk[0] else blk[0]))
+            group = CyclicGroup(v)
+        else:
+            group = RaagGroup(blk)
+        vertices.append(
+            GoGVertex(id=wid, color=WHITE, group=group, toral=toral, hanging=hanging, block=blk)
+        )
+    for bid, v in bt.black:
+        vertices.append(GoGVertex(id=bid, color=BLACK, group=CyclicGroup(v)))
+
+    edges = [
+        GoGEdge(id=f"e{i}", ends=(bid, wid), group=CyclicGroup(v), inclusions=(v, v))
+        for i, (bid, wid, v) in enumerate(tree_edges)
+    ]
+    for wid, v, w in loops:
+        edges.append(
+            GoGEdge(
+                id=f"e{len(edges)}",
+                ends=(wid, wid),
+                group=CyclicGroup(v),
+                inclusions=(v, v),
+                stable_letter=w,
+            )
+        )
+    return GraphOfGroups(vertices=tuple(vertices), edges=tuple(edges), source=g)
+
+
+def frozen_collapse_to_j(j0: GraphOfGroups) -> GraphOfGroups:
+    """``jsj.collapse_to_j`` as it was before it rebuilt only the moved records."""
+    by_id = {v.id: v for v in j0.vertices}
+    incident = {v.id: [] for v in j0.vertices}
+    for e in j0.edges:
+        if not e.is_loop:
+            incident[e.ends[0]].append(e)
+            incident[e.ends[1]].append(e)
+
+    target = {}
+    for v in j0.vertices:
+        if v.color != BLACK or len(incident[v.id]) != 2:
+            continue
+        whites = [eid for e in incident[v.id] for eid in e.ends if eid != v.id]
+        target[v.id] = min(whites, key=lambda wid: by_id[wid].block or ())
+
+    absorbed = {}
+    for bid, wid in target.items():
+        gen = by_id[bid].group.generator
+        absorbed.setdefault(wid, []).append(gen)
+
+    vertices = []
+    for v in j0.vertices:
+        if v.id in target:
+            continue
+        if v.id in absorbed:
+            merged = tuple(sorted(set(v.absorbed) | set(absorbed[v.id])))
+            vertices.append(v._replace(color=MERGED, absorbed=merged))
+        else:
+            vertices.append(v)
+
+    edges = []
+    for e in j0.edges:
+        a, b = e.ends
+        if a in target or b in target:
+            black, other = (a, b) if a in target else (b, a)
+            if target[black] == other:
+                continue
+            new_ends = (target[black], other) if a in target else (other, target[black])
+            edges.append(e._replace(ends=new_ends))
+        else:
+            edges.append(e)
+    return GraphOfGroups(vertices=tuple(vertices), edges=tuple(edges), source=j0.source)
+
+
+def hand_built_gogs() -> dict[str, GraphOfGroups]:
+    """Decompositions written out by hand, beside anything ``build_j0`` makes.
+
+    They hold loops with and without stable letters, merged vertices that
+    already absorbed a cut vertex, cyclic vertex groups, tied and missing
+    blocks, a black vertex met twice by one white, blacks of valence one and
+    three, a black listed at the second end of its edges and a white-white
+    edge.
+    """
+    source = parse_graph("a b\nb c\nc d\nd e\nc f")
+
+    def white(vid, blk, color=WHITE, group=None, absorbed=(), hanging=False):
+        group = group or RaagGroup(blk)
+        return GoGVertex(vid, color, group, len(blk) == 2, hanging, blk, absorbed)
+
+    def black(vid, v):
+        return GoGVertex(id=vid, color=BLACK, group=CyclicGroup(v))
+
+    def edge(eid, a, b, v, letter=None):
+        return GoGEdge(eid, (a, b), CyclicGroup(v), (v, v), letter)
+
+    return {
+        # a path a-b-c-d with both end blocks hanging: loops carry the stable letters
+        "path": GraphOfGroups(
+            (
+                white("blk0", ("a", "b"), group=CyclicGroup("b"), hanging=True),
+                white("blk1", ("b", "c")),
+                white("blk2", ("c", "d"), group=CyclicGroup("c"), hanging=True),
+                black("cut:b", "b"),
+                black("cut:c", "c"),
+            ),
+            (
+                edge("e0", "cut:b", "blk0", "b"),
+                edge("e1", "cut:b", "blk1", "b"),
+                edge("e2", "cut:c", "blk1", "c"),
+                edge("e3", "cut:c", "blk2", "c"),
+                edge("e4", "blk0", "blk0", "b", "a"),
+                edge("e5", "blk2", "blk2", "c", "d"),
+            ),
+            source,
+        ),
+        # a merged white that absorbed d already, a black listed second, a tie between
+        # equal blocks, and a white without a block
+        "merged": GraphOfGroups(
+            (
+                white("w0", ("c", "d", "e"), color=MERGED, absorbed=("d",)),
+                white("w1", ("c", "d", "e")),
+                GoGVertex("w2", WHITE, RaagGroup(("a", "b"))),
+                black("cut:c", "c"),
+                black("cut:e", "e"),
+            ),
+            (
+                edge("e0", "w1", "cut:c", "c"),
+                edge("e1", "w0", "cut:c", "c"),
+                edge("e2", "cut:e", "w2", "e"),
+                edge("e3", "cut:e", "w1", "e"),
+                edge("e4", "w2", "w2", "e", "f"),
+                edge("e5", "w1", "w1", "c"),
+            ),
+            source,
+        ),
+        # a black met twice by one white, a black of valence one and one of valence three
+        "valences": GraphOfGroups(
+            (
+                white("w0", ("a", "b")),
+                white("w1", ("b", "c", "d")),
+                white("w2", ("c", "f"), group=CyclicGroup("c"), hanging=True),
+                black("cut:b", "b"),
+                black("cut:c", "c"),
+                black("cut:d", "d"),
+            ),
+            (
+                edge("e0", "cut:b", "w0", "b"),
+                edge("e1", "cut:b", "w0", "b"),
+                edge("e2", "cut:c", "w0", "c"),
+                edge("e3", "cut:c", "w1", "c"),
+                edge("e4", "cut:c", "w2", "c"),
+                edge("e5", "cut:d", "w1", "d"),
+                edge("e6", "w2", "w2", "c", "f"),
+                edge("e7", "w0", "w1", "b"),
+            ),
+            source,
+        ),
+        "single": GraphOfGroups((white("blk0", ("a", "b", "c", "d", "e", "f")),), (), source),
+        "empty": GraphOfGroups((), (), source),
+    }
 
 
 # ------------------------------------------------------------ large graphs

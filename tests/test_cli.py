@@ -1,15 +1,33 @@
 import hashlib
 import json
+import random
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 
-from raagsplit import NonSplitCover, SplitReport, parse_graph, splits_over_z
+from raagsplit import (
+    GoGVertex,
+    GraphError,
+    GraphOfGroups,
+    NonSplitCover,
+    SplitReport,
+    build_j0,
+    collapse_to_j,
+    parse_graph,
+    splits_over_z,
+)
 from raagsplit.cli import main
-from raagsplit.serialize import _payload_json, parse_graph6, report_to_dict, witness_to_dict
+from raagsplit.serialize import (
+    _gog_json,
+    _payload_json,
+    gog_to_dict,
+    parse_graph6,
+    report_to_dict,
+    witness_to_dict,
+)
 
-from conftest import graphs, oracle_is_biconnected, scale_graph
+from conftest import graphs, hand_built_gogs, oracle_is_biconnected, scale_graph
 
 STAR = "c l1\nc l2\nc l3\n"
 TWO_TRIANGLES = "a b\na c\nb c\nc d\nd e\nd f\ne f\n"
@@ -117,6 +135,14 @@ class TestJsj:
         assert code == 4
         assert err == "error: decomposition needs a connected graph with at least three vertices\n"
 
+    @pytest.mark.parametrize("stage", ["j0", "j"])
+    @pytest.mark.parametrize("fmt", ["json", "dot"])
+    @pytest.mark.parametrize("text", ["", "# nothing\n"])
+    def test_empty_graph_exit_3(self, capsys, monkeypatch, stage, fmt, text):
+        argv = ["jsj", "-", f"--stage={stage}", f"--format={fmt}"]
+        code, out, err = run(capsys, argv, stdin=text, monkeypatch=monkeypatch)
+        assert (code, out, err) == (3, "", "error: empty graph\n")
+
     def test_dot_output(self, capsys, star_file):
         code, out, _ = run(capsys, ["jsj", star_file, "--format=dot", "--stage=j0"])
         assert code == 0
@@ -172,6 +198,11 @@ class TestCheck:
     def test_triangle_trivial(self, capsys, monkeypatch):
         code, out, _ = run(capsys, ["check", "-"], stdin=TRIANGLE, monkeypatch=monkeypatch)
         assert code == 0 and out.count("pass") == 4
+
+    @pytest.mark.parametrize("text", ["", "# nothing\n"])
+    def test_empty_graph_exit_3(self, capsys, monkeypatch, text):
+        code, out, err = run(capsys, ["check", "-"], stdin=text, monkeypatch=monkeypatch)
+        assert (code, out, err) == (3, "", "error: empty graph\n")
 
 
 class TestCensus:
@@ -270,31 +301,56 @@ class TestExportDot:
         )
         assert code == 4
 
+    @pytest.mark.parametrize("stage", ["j0", "j"])
+    def test_empty_graph_exit_3(self, capsys, monkeypatch, stage):
+        argv = ["export-dot", "-", f"--stage={stage}"]
+        code, out, err = run(capsys, argv, stdin="# nothing\n", monkeypatch=monkeypatch)
+        assert (code, out, err) == (3, "", "error: empty graph\n")
+
+    def test_empty_graph_stage_graph(self, capsys, monkeypatch):
+        code, out, err = run(capsys, ["export-dot", "-"], stdin="", monkeypatch=monkeypatch)
+        assert (code, out, err) == (0, "graph defining_graph {\n}\n", "")
+
 
 class TestGoldenAtScale:
     """Pinned output bytes on seeded 300-vertex graphs.
 
-    The J0 digests, on a cactus whose blocks hold up to four cut vertices, fix
-    the ``e<i>`` numbering around blocks with several cut vertices, which the
-    small fixtures never exercise.  The cover digests fix the Hamiltonian
-    cover of a cycle, a grid and an ear graph; the amalgam digests fix the
-    sides of the amalgam witness on a path, a random tree, a K4 chain and a
-    cactus.
+    The J0 and J digests, on a path, a random tree, a K4 chain and a cactus
+    whose blocks hold up to four cut vertices, fix the ``e<i>`` numbering
+    around blocks with several cut vertices, which the small fixtures never
+    exercise, and which whites absorb the collapsed cut vertices.  The cover
+    digests fix the Hamiltonian cover of a cycle, a grid and an ear graph;
+    the amalgam digests fix the sides of the amalgam witness on a path, a
+    random tree, a K4 chain and a cactus.
     """
 
-    DIGESTS = {
-        "json": "c1890558bdb220afec13dc704cbb4628a0f57f5b1d19a4e991cf4baa1ccb556b",
-        "dot": "ccf91e53a7abe1bf6cbe4c020cc47d8664caf6c03fd99c49333ade3c9c514a77",
+    JSJ_DIGESTS = {
+        ("path", "j", "json"): "a6e2f424b8c90c33f58ef793898ea91fddc749a2775636f5950165ee34902179",
+        ("path", "j", "dot"): "4f1b41cf67f833fa428e78e73e2b7ae798649604d8652ab22bda9208ac56e659",
+        ("path", "j0", "json"): "04b7edb02bf0c4ee8773fbd0c2741a7bdf5427c586245f9375f4d2b7fbedd16c",
+        ("random-tree", "j", "json"): "c4c5b6c11fba8e10f117a8efe66dfaaeb705baf1912e5ba9e2fbc78b04492fcc",
+        ("random-tree", "j", "dot"): "901b6c55f857dfb47f4e7d105fa416dfe6a35b0b524201960894a4f056106d64",
+        ("random-tree", "j0", "json"): "d83dea52770c0465723ef87d54dd47f63d2d754362a067719c56edaa0f4f440f",
+        ("k4-chain", "j", "json"): "8d7775db41c6362ef4409c278eef89ad127144028adbbf402426940c401d0019",
+        ("k4-chain", "j", "dot"): "cca21a2f8b5476cb8bd4d0e23f10392af95384ece8e1a61160d02d53452b0308",
+        ("k4-chain", "j0", "json"): "35290e1274377b16b605b14ed71f7fd8228312fcbe6c4824ae28c68eeb8d2840",
+        ("cactus", "j", "json"): "10a9ec4bcc8227cac02de38fff4b6a5b6e3081ad7e1f647026f1d2bc8392ec67",
+        ("cactus", "j", "dot"): "cf15c011b6d8e197771d070dc26fc287a61898da924863e859cadae9dbe780b2",
+        ("cactus", "j0", "json"): "c1890558bdb220afec13dc704cbb4628a0f57f5b1d19a4e991cf4baa1ccb556b",
+        ("cactus", "j0", "dot"): "ccf91e53a7abe1bf6cbe4c020cc47d8664caf6c03fd99c49333ade3c9c514a77",
     }
 
     @pytest.mark.parametrize("fmt", ["json", "dot"])
     def test_j0_digest(self, capsys, tmp_path, fmt):
-        g = scale_graph("cactus", 300, 1)
-        path = tmp_path / "cactus.txt"
-        path.write_text("".join(f"{u} {v}\n" for u, v in g.edges))
-        assert main(["jsj", str(path), "--stage=j0", f"--format={fmt}"]) == 0
-        out = capsys.readouterr().out
-        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[fmt]
+        digest = self.digest(capsys, tmp_path, "cactus", "jsj", "--stage=j0", f"--format={fmt}")
+        assert digest == self.JSJ_DIGESTS[("cactus", "j0", fmt)]
+
+    @pytest.mark.parametrize(
+        "family, stage, fmt", [key for key in JSJ_DIGESTS if key[:2] != ("cactus", "j0")]
+    )
+    def test_jsj_digest(self, capsys, tmp_path, family, stage, fmt):
+        digest = self.digest(capsys, tmp_path, family, "jsj", f"--stage={stage}", f"--format={fmt}")
+        assert digest == self.JSJ_DIGESTS[(family, stage, fmt)]
 
     COVER_DIGESTS = {
         ("cycle", "split"): "397efc0ea03b0ad4aef6936561163886d82eca73a77790c70eb64884a47fddc0",
@@ -325,11 +381,11 @@ class TestGoldenAtScale:
         assert self.digest(capsys, tmp_path, family, cmd) == self.AMALGAM_DIGESTS[(family, cmd)]
 
     @staticmethod
-    def digest(capsys, tmp_path, family, cmd):
+    def digest(capsys, tmp_path, family, cmd, *options):
         g = scale_graph(family, 300, 1)
         path = tmp_path / f"{family}.txt"
         path.write_text("".join(f"{u} {v}\n" for u, v in g.edges))
-        assert main([cmd, str(path)]) == 0
+        assert main([cmd, str(path), *options]) == 0
         return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
 
 
@@ -369,6 +425,70 @@ class TestPayloadRenderer:
             ("a", "c", "d"): (whole, ("c", "d", "a", "b")),
         }
         self.assert_same_bytes(SplitReport(False, "no", NonSplitCover(entries=entries)))
+
+
+class TestGogRenderer:
+    """``raag jsj``'s JSON is the bytes ``json.dumps`` writes from ``gog_to_dict``."""
+
+    @staticmethod
+    def assert_same_bytes(gog):
+        assert _gog_json(gog) == json.dumps(gog_to_dict(gog))
+
+    @given(graphs(min_vertices=3, max_vertices=7, connected=True))
+    @settings(max_examples=200)
+    def test_small_connected_graphs(self, g):
+        j0 = build_j0(g)
+        self.assert_same_bytes(j0)
+        self.assert_same_bytes(collapse_to_j(j0))
+
+    @pytest.mark.parametrize("family", ["path", "random-tree", "k4-chain", "cactus", "grid"])
+    def test_scale_families(self, family):
+        j0 = build_j0(scale_graph(family, 300, 1))
+        self.assert_same_bytes(j0)
+        self.assert_same_bytes(collapse_to_j(j0))
+
+    @pytest.mark.parametrize("name", sorted(hand_built_gogs()))
+    def test_hand_built(self, name):
+        gog = hand_built_gogs()[name]
+        self.assert_same_bytes(gog)
+        self.assert_same_bytes(collapse_to_j(gog))
+
+    def test_unknown_group_descriptor(self):
+        gog = GraphOfGroups((GoGVertex("w", "white", ("a",)),), (), parse_graph("a"))
+        for write in (_gog_json, gog_to_dict):
+            with pytest.raises(GraphError, match="^unknown group descriptor"):
+                write(gog)
+
+
+class TestMetamorphic:
+    """Line order and the orientation of each edge line change no output but the defining graph's DOT."""
+
+    COMMANDS = [
+        ["split"],
+        ["witness"],
+        ["jsj"],
+        ["jsj", "--format=dot"],
+        ["jsj", "--stage=j0"],
+        ["jsj", "--stage=j0", "--format=dot"],
+        ["check"],
+    ]
+
+    @pytest.mark.parametrize("family", ["random-tree", "k4-chain", "cactus", "grid"])
+    def test_shuffled_and_flipped_lines(self, capsys, tmp_path, family):
+        g = scale_graph(family, 300, 1)
+        lines = [f"{v} {u}\n" for u, v in g.edges]
+        random.Random(family).shuffle(lines)
+        plain, moved = tmp_path / "plain.txt", tmp_path / "moved.txt"
+        plain.write_text("".join(f"{u} {v}\n" for u, v in g.edges))
+        moved.write_text("".join(lines))
+        assert parse_graph(plain.read_text()).vertices != parse_graph(moved.read_text()).vertices
+        for cmd in self.COMMANDS:
+            outputs = []
+            for path in (plain, moved):
+                code = main([cmd[0], str(path), *cmd[1:]])
+                outputs.append((code, capsys.readouterr().out))
+            assert outputs[0] == outputs[1], cmd
+            assert outputs[0][0] == 0 and outputs[0][1], cmd
 
 
 # ------------------------------------------------------------------- graph6

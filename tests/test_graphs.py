@@ -1,3 +1,4 @@
+import string
 from itertools import permutations
 
 import pytest
@@ -28,6 +29,47 @@ from conftest import (
     oracle_hamiltonian_accepts,
     parent_chain,
 )
+
+
+NAME_CHARS = frozenset(string.ascii_letters + string.digits + "_")
+
+# blank and comment lines, a malformed self-loop, and lines of one to three tokens (mostly
+# two) after spaces and tabs; about one token in seven is malformed, so that many texts parse
+_SPACED_TOKEN = st.tuples(
+    st.sampled_from([" ", "\t", "  ", " \t "]),
+    st.sampled_from(["a", "b", "c", "d", "x_1", "Z9"] * 4 + ["a-", "c.d", "#e", "é"]),
+)
+EDGE_LIST_LINES = st.one_of(
+    st.sampled_from(["", "   ", "# a b", "#", "\t# c- d", "a- a-"]),
+    st.sampled_from([1, 2, 2, 2, 3])
+    .flatmap(lambda k: st.lists(_SPACED_TOKEN, min_size=k, max_size=k))
+    .map(lambda parts: "".join(sep + tok for sep, tok in parts)),
+)
+
+
+def reference_parse(text):
+    """The edge-list format read line by line with every token checked on every line.
+
+    Returns ``("graph", vertices, edges)`` or ``("error", message, line)``.
+    """
+    order, edges = {}, set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()
+        for tok in tokens:
+            if not set(tok) <= NAME_CHARS:
+                return "error", f"line {lineno}: malformed token {tok!r}", lineno
+        if len(tokens) == 2 and tokens[0] == tokens[1]:
+            return "error", f"line {lineno}: self-loop declared at {tokens[0]!r}", lineno
+        if len(tokens) > 2:
+            return "error", f"line {lineno}: expected 1 or 2 tokens, got {len(tokens)}", lineno
+        for tok in tokens:
+            order.setdefault(tok, None)
+        if len(tokens) == 2:
+            edges.add(tuple(sorted(tokens)))
+    return "graph", tuple(order), tuple(sorted(edges))
 
 
 class TestParse:
@@ -64,6 +106,37 @@ class TestParse:
             parse_graph(text)
         assert err.value.line == line
         assert f"line {line}" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("a- a-", "line 1: malformed token 'a-'"),  # not a self-loop
+            ("a b c-", "line 1: malformed token 'c-'"),  # not a wrong token count
+            ("a b\nb c-\nc- d\nc-", "line 2: malformed token 'c-'"),  # its first line
+            ("a b\na- b\n# a- b", "line 2: malformed token 'a-'"),
+            ("a b\nb a a", "line 2: expected 1 or 2 tokens, got 3"),
+            ("a b\n\tb   b \r\n", "line 2: self-loop declared at 'b'"),
+            ("a\n b #c", "line 2: malformed token '#c'"),
+        ],
+    )
+    def test_error_messages(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_graph(text)
+        assert str(err.value) == message
+
+    @given(st.lists(EDGE_LIST_LINES, max_size=12), st.sampled_from(["\n", "\r\n"]), st.booleans())
+    @settings(max_examples=300)
+    def test_matches_a_reference_parser(self, lines, newline, trailing):
+        text = newline.join(lines) + (newline if trailing else "")
+        expected = reference_parse(text)
+        try:
+            g = parse_graph(text)
+        except ParseError as err:
+            assert ("error", str(err), err.line) == expected
+            return
+        assert ("graph", g.vertices, g.edges) == expected
+        for v in g.vertices:  # the adjacency the parser built agrees with the edge list
+            assert g.neighbors(v) == tuple(sorted({x for e in g.edges if v in e for x in e} - {v}))
 
     def test_constructor_rejects_undeclared_endpoint(self):
         with pytest.raises(GraphError):

@@ -18,9 +18,17 @@ from raagsplit import (
     jsj,
     parse_graph,
 )
+from raagsplit.cli import labeled_graphs
 from raagsplit.jsj import BLACK, MERGED, WHITE
 
-from conftest import graphs
+from conftest import (
+    frozen_build_j0,
+    frozen_collapse_to_j,
+    graphs,
+    hand_built_gogs,
+    oracle_is_connected,
+    scale_graph,
+)
 
 DECOMPOSITION_PRECONDITION = "decomposition needs a connected graph with at least three vertices"
 
@@ -195,3 +203,39 @@ class TestGraphOfGroups:
         with pytest.raises(GraphError, match="^edge e9 ends at 'zz', which is not a vertex id$"):
             gog._replace(edges=(loop,))
         assert gog._replace(edges=()).edges == ()
+
+
+class TestFrozenBuilders:
+    """``build_j0`` and ``collapse_to_j`` give the records of their frozen copies in conftest."""
+
+    @staticmethod
+    def assert_same(g):
+        j0 = build_j0(g)
+        assert j0 == frozen_build_j0(g)
+        assert collapse_to_j(j0) == frozen_collapse_to_j(j0)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_all_connected_graphs(self, n):
+        count = 0
+        for g in labeled_graphs(n):
+            if len(g.edges) >= n - 1 and oracle_is_connected(g):
+                self.assert_same(g)
+                count += 1
+        assert count == {3: 4, 4: 38, 5: 728, 6: 26704}[n]
+
+    @pytest.mark.parametrize(
+        "family", ["path", "random-tree", "k4-chain", "cactus", "cycle", "grid", "ear"]
+    )
+    def test_scale_families(self, family):
+        self.assert_same(scale_graph(family, 300, 1))
+
+    @pytest.mark.parametrize("name", sorted(hand_built_gogs()))
+    def test_collapse_of_hand_built_inputs(self, name):
+        gog = hand_built_gogs()[name]
+        assert collapse_to_j(gog) == frozen_collapse_to_j(gog)
+
+    def test_a_cut_vertex_shares_one_group(self, star):
+        j0 = build_j0(star)
+        groups = {id(v.group) for v in j0.vertices if v.group == CyclicGroup("c")}
+        groups |= {id(e.group) for e in j0.edges}
+        assert len(groups) == 1
