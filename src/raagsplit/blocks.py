@@ -21,58 +21,53 @@ class BlockTree(NamedTuple):
 
 
 def _lowpoint_scan(g: SimplicialGraph) -> tuple[list[tuple[str, ...]], set[str], int]:
-    """One iterative depth-first pass collecting blocks, cut vertices and the component count."""
+    """One iterative depth-first pass collecting blocks, cut vertices and the component count.
+
+    Each vertex is pushed on a vertex stack when it is found.  When a child v
+    of u finishes with ``low[v] >= disc[u]``, the stack is popped down to v,
+    and the popped vertices with u are one block (Hopcroft and Tarjan,
+    Algorithm 447, CACM 16(6), 1973).  Such a u is a cut vertex, except a
+    root, which is one exactly when it has two or more children.  An isolated
+    vertex forms no block.  Blocks are sorted tuples.
+    """
     disc: dict[str, int] = {}
     low: dict[str, int] = {}
     blocks: list[tuple[str, ...]] = []
     cuts: set[str] = set()
-    counter = 0
     components = 0
     for root in g.vertices:
         if root in disc:
             continue
         components += 1  # each depth-first root starts a new connected component
-        disc[root] = low[root] = counter
-        counter += 1
+        disc[root] = low[root] = len(disc)
         root_children = 0
-        edge_stack: list[tuple[str, str]] = []
-        stack = [(root, None, iter(g.neighbors(root)))]
+        found = [root]
+        # each frame: a vertex, its parent, its unscanned neighbours and its place in found
+        stack = [(root, None, iter(g.neighbors(root)), 0)]
         while stack:
-            v, parent, it = stack[-1]
-            advanced = False
+            v, parent, it, at = stack[-1]
             for w in it:
                 if w not in disc:
-                    disc[w] = low[w] = counter
-                    counter += 1
-                    if v == root:
-                        root_children += 1
-                    edge_stack.append((v, w))
-                    stack.append((w, v, iter(g.neighbors(w))))
-                    advanced = True
+                    disc[w] = low[w] = len(disc)
+                    stack.append((w, v, iter(g.neighbors(w)), len(found)))
+                    found.append(w)
                     break
-                if w != parent and disc[w] < disc[v]:
-                    edge_stack.append((v, w))
-                    if disc[w] < low[v]:
-                        low[v] = disc[w]
-            if advanced:
-                continue
-            stack.pop()
-            if not stack:
-                break
-            u = stack[-1][0]
-            if low[v] < low[u]:
-                low[u] = low[v]
-            if low[v] >= disc[u]:
-                members: set[str] = set()
-                while edge_stack:
-                    a, b = edge_stack.pop()
-                    members.add(a)
-                    members.add(b)
-                    if (a, b) == (u, v):
-                        break
-                blocks.append(tuple(sorted(members)))
-                if u != root:
-                    cuts.add(u)
+                # a descendant's disc is never below low[v], so only a back edge lowers it
+                if w != parent and disc[w] < low[v]:
+                    low[v] = disc[w]
+            else:
+                stack.pop()
+                if parent is None:
+                    continue
+                if low[v] < low[parent]:
+                    low[parent] = low[v]
+                if low[v] >= disc[parent]:
+                    blocks.append(tuple(sorted([parent, *found[at:]])))
+                    del found[at:]
+                    if parent != root:
+                        cuts.add(parent)
+                    else:
+                        root_children += 1
         if root_children > 1:
             cuts.add(root)
     return blocks, cuts, components

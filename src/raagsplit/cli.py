@@ -4,7 +4,8 @@ Subcommands: split, jsj, witness, check, census, export-dot.  Input is the
 edge-list format (or graph6 with --g6) from a file argument or stdin.  Machine
 payload goes to stdout, diagnostics to stderr.
 
-Exit codes: 0 success, 2 parse error, 3 empty graph, 4 decomposition
+Exit codes: 0 success, 2 parse error or input not readable as UTF-8 text
+(missing file, directory, invalid bytes), 3 empty graph, 4 decomposition
 precondition unmet (disconnected or fewer than three vertices; ``check``
 works at any size otherwise), 5 census range error, 1 internal check
 failure.  ``witness`` re-verifies through the library's ``amalgam_defects``
@@ -44,11 +45,18 @@ CENSUS_MIN_N = 3
 CENSUS_MAX_N = 6
 
 
+class _Unreadable(Exception):
+    """The input cannot be read as UTF-8 text: exit 2, as for a parse error."""
+
+
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:  # strerror, unlike str(exc), omits the path
+        raise _Unreadable(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
 
 
 def _load_graph(path: str, g6: bool) -> SimplicialGraph:
@@ -308,7 +316,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (ParseError, _Unreadable) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except GraphError as exc:

@@ -111,17 +111,17 @@ def nonsplit_cover(g: SimplicialGraph) -> NonSplitCover:
 
     For each two-edge segment u-v-w the least shortest u-w path avoiding v
     closes up with the segment into a Hamiltonian cycle of the induced
-    subgraph it spans; biconnectivity guarantees the path exists.  A vertex
-    of degree 2 with a neighbour of degree 2 lies inside a chain: a run of
-    degree-2 vertices between two ends of other degree.  Its path is forced:
-    down the chain to one end, along the least shortest path between the
-    ends, and up the chain to its other neighbour.  That middle path is
-    searched once per chain and direction, each cycle is built from slices,
-    and a graph that is one cycle needs no search at all.  Every other path
-    is searched from both ends in g - v: the search from u keeps its ball for
-    every later neighbour w of v, and a w outside it searches back until the
-    two balls meet, so the cost is the balls searched plus the size of the
-    cover.
+    subgraph it spans; biconnectivity guarantees the path exists.  Every
+    vertex of degree 2 lies inside a chain: a run of one or more degree-2
+    vertices between two ends of other degree.  Its path is forced: down the
+    chain to one end, along the least shortest path between the ends, and up
+    the chain to its other neighbour.  That middle path is searched once per
+    chain and direction, each cycle is built from slices, and a graph that is
+    one cycle needs no search at all.  The path of a vertex of degree 3 or
+    more is searched from both ends in g - v: the search from u keeps its
+    ball for every later neighbour w of v, and a w outside it searches back
+    until the two balls meet, so the cost is the balls searched plus the
+    size of the cover.
     """
     if len(g.vertices) < 3 or not is_biconnected(g):
         raise GraphError("Hamiltonian covers exist for biconnected graphs on >= 3 vertices")
@@ -138,8 +138,7 @@ def _nonsplit_cover(g: SimplicialGraph) -> NonSplitCover:
         if v in chained:
             continue
         nv = adj[v]
-        # a degree-2 vertex between two ends of other degree shares no middle path
-        if len(nv) == 2 and (len(adj[nv[0]]) == 2 or len(adj[nv[1]]) == 2):
+        if len(nv) == 2:
             ahead = _walk(adj, v, nv[1])
             if ahead[-1] == v:  # g is one cycle
                 _cycle_entries((v, *ahead[:-1]), whole, entries)
@@ -148,9 +147,7 @@ def _nonsplit_cover(g: SimplicialGraph) -> NonSplitCover:
             _chain_entries(g, chain, whole, entries)
             chained.update(chain[1:-1])
             continue
-        for i, u in enumerate(nv):
-            if i + 1 == len(nv):
-                break
+        for i, u in enumerate(nv[:-1]):
             later = nv[i + 1 :]
             for w, path in zip(later, _least_paths(g, u, v, later)):
                 # biconnected, so every path exists; it is simple and avoids v, so the

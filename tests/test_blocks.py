@@ -1,6 +1,7 @@
 import networkx as nx
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from raagsplit import (
     GraphError,
@@ -12,6 +13,7 @@ from raagsplit import (
     parse_graph,
     splits_over_z,
 )
+from raagsplit.blocks import _lowpoint_scan
 from raagsplit.cli import labeled_graphs
 
 from conftest import (
@@ -52,6 +54,51 @@ class TestCutVertices:
     @given(graphs(max_vertices=8))
     def test_matches_removal_oracle(self, g):
         assert cut_vertices(g) == oracle_cut_vertices(g)
+
+
+def networkx_scan(g):
+    """What ``_lowpoint_scan`` returns, from networkx: sorted blocks, cut vertices, component count."""
+    ref = nx.Graph()
+    ref.add_nodes_from(g.vertices)
+    ref.add_edges_from(g.edges)
+    blocks = sorted(tuple(sorted(c)) for c in nx.biconnected_components(ref))
+    return blocks, set(nx.articulation_points(ref)), nx.number_connected_components(ref)
+
+
+def sorted_scan(g):
+    blocks, cuts, components = _lowpoint_scan(g)
+    return sorted(blocks), cuts, components
+
+
+class TestLowpointScan:
+    def test_every_labeled_graph_up_to_five_vertices_matches_networkx(self):
+        # disconnected graphs and isolated vertices included; an isolated vertex forms no block
+        for n in range(1, 6):
+            for g in labeled_graphs(n):
+                assert sorted_scan(g) == networkx_scan(g)
+
+    @given(graphs(max_vertices=12), st.randoms(use_true_random=False))
+    @settings(max_examples=200)
+    def test_matches_networkx_from_any_root(self, g, rnd):
+        order = list(g.vertices)
+        rnd.shuffle(order)  # the first declared vertex is the first depth-first root
+        g = SimplicialGraph(order, g.edges)
+        assert sorted_scan(g) == networkx_scan(g)
+
+    def test_hub_declared_first_is_a_root_with_many_children(self):
+        leaves = [f"l{i}" for i in range(5)]
+        g = SimplicialGraph(["h", *leaves], [("h", x) for x in leaves])
+        assert sorted_scan(g) == ([("h", x) for x in leaves], {"h"}, 1)
+
+    def test_path_rooted_in_its_middle(self):
+        # the root b has two children, a and c
+        g = SimplicialGraph(["b", "a", "c"], [("a", "b"), ("b", "c")])
+        assert sorted_scan(g) == ([("a", "b"), ("b", "c")], {"b"}, 1)
+
+    def test_path_rooted_at_one_end(self):
+        # the root a has one child, so it is no cut vertex; b and c are
+        g = SimplicialGraph(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d")])
+        assert sorted_scan(g) == ([("a", "b"), ("b", "c"), ("c", "d")], {"b", "c"}, 1)
 
 
 class TestIsBiconnected:

@@ -284,6 +284,34 @@ class TestCensus:
                 assert oracle_biconnected(g) == oracle_is_biconnected(g), g
 
 
+class TestUnreadableInput:
+    @pytest.fixture(params=["missing", "directory", "invalid utf-8"])
+    def unreadable(self, request, tmp_path):
+        path = tmp_path / "input.txt"
+        if request.param == "directory":
+            path.mkdir()
+        elif request.param == "invalid utf-8":
+            path.write_bytes(b"a b\n\xff\xfe c\n")
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "argv", [["split"], ["witness"], ["jsj"], ["check"], ["export-dot"], ["census"], ["split", "--g6"]]
+    )
+    def test_one_error_line_and_exit_2(self, capsys, unreadable, argv):
+        code, out, err = run(capsys, [argv[0], unreadable, *argv[1:]])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read {unreadable}: ") and err.count("\n") == 1
+
+    def test_invalid_utf8_on_stdin(self, capsys, monkeypatch):
+        import io
+        import sys
+
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xff a\n"), encoding="utf-8"))
+        code, out, err = run(capsys, ["split", "-"])
+        assert (code, out) == (2, "") and err.startswith("error: cannot read -: ")
+        assert err.count("\n") == 1
+
+
 class TestExportDot:
     def test_plain_graph(self, capsys, monkeypatch):
         code, out, _ = run(capsys, ["export-dot", "-"], stdin="a b\n", monkeypatch=monkeypatch)
