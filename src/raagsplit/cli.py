@@ -15,24 +15,15 @@ and ``cover_defects``.
 from __future__ import annotations
 
 import argparse
-import json
-import string
 import sys
-from itertools import combinations
-from typing import Iterable, Iterator, Optional
+from typing import TYPE_CHECKING
 
-from .blocks import is_biconnected
-from .graphs import (
-    GraphError,
-    ParseError,
-    SimplicialGraph,
-    connected_components,
-    parse_graph,
-)
-from .jsj import GraphOfGroups, build_j0, collapse_to_j, is_reduced, jsj
-from .presentations import abelianization, check_coverage, check_euler, emit_presentation
-from .serialize import _gog_json, _payload_json, gog_to_dot, graph_to_dot, parse_graph6
-from .splitting import Z_SPLIT_YES, ZSplitWitness, amalgam_defects, cover_defects, splits_over_z
+# each command imports the modules it runs, so ``--help`` loads none of the library
+if TYPE_CHECKING:
+    from typing import Iterable, Iterator, Optional
+
+    from .graphs import SimplicialGraph
+    from .jsj import GraphOfGroups
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -52,7 +43,9 @@ class _Unreadable(Exception):
 def _read_text(path: str) -> str:
     try:
         if path == "-":
-            return sys.stdin.read()
+            # the bytes, so stdin decodes as strict UTF-8 whatever the locale; every reader
+            # splits lines with str.splitlines, so CRLF and LF read alike untranslated
+            return sys.stdin.buffer.read().decode("utf-8")
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
     except (OSError, UnicodeDecodeError) as exc:  # strerror, unlike str(exc), omits the path
@@ -60,8 +53,12 @@ def _read_text(path: str) -> str:
 
 
 def _load_graph(path: str, g6: bool) -> SimplicialGraph:
+    from .graphs import ParseError, parse_graph
+
     text = _read_text(path)
     if g6:
+        from .serialize import parse_graph6
+
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if len(lines) != 1:
             raise ParseError(f"expected exactly one graph6 line, got {len(lines)}", 1)
@@ -77,6 +74,8 @@ def _emit(payload: str) -> None:
 
 
 def _emit_json(obj) -> None:
+    import json
+
     _emit(json.dumps(obj))
 
 
@@ -89,6 +88,9 @@ def _is_empty(g: SimplicialGraph) -> bool:
 
 
 def cmd_split(args: argparse.Namespace) -> int:
+    from .serialize import _payload_json
+    from .splitting import splits_over_z
+
     g = _load_graph(args.file, args.g6)
     if _is_empty(g):
         return EXIT_EMPTY
@@ -97,6 +99,8 @@ def cmd_split(args: argparse.Namespace) -> int:
 
 
 def _decomposition(g: SimplicialGraph, stage: str) -> GraphOfGroups:
+    from .jsj import build_j0, collapse_to_j
+
     gog = build_j0(g)
     if stage == "j":
         gog = collapse_to_j(gog)
@@ -104,6 +108,8 @@ def _decomposition(g: SimplicialGraph, stage: str) -> GraphOfGroups:
 
 
 def cmd_jsj(args: argparse.Namespace) -> int:
+    from .serialize import _gog_json, gog_to_dot
+
     g = _load_graph(args.file, args.g6)
     if _is_empty(g):
         return EXIT_EMPTY
@@ -113,6 +119,9 @@ def cmd_jsj(args: argparse.Namespace) -> int:
 
 
 def cmd_witness(args: argparse.Namespace) -> int:
+    from .serialize import _payload_json
+    from .splitting import ZSplitWitness, amalgam_defects, cover_defects, splits_over_z
+
     g = _load_graph(args.file, args.g6)
     if _is_empty(g):
         return EXIT_EMPTY
@@ -128,6 +137,9 @@ def cmd_witness(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    from .jsj import is_reduced, jsj
+    from .presentations import abelianization, check_coverage, check_euler, emit_presentation
+
     g = _load_graph(args.file, args.g6)
     if _is_empty(g):
         return EXIT_EMPTY
@@ -149,6 +161,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_export_dot(args: argparse.Namespace) -> int:
+    from .serialize import gog_to_dot, graph_to_dot
+
     g = _load_graph(args.file, args.g6)
     if args.stage == "graph":
         _emit(graph_to_dot(g))
@@ -161,6 +175,11 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
 
 def labeled_graphs(n: int, names: Optional[list[str]] = None) -> Iterator[SimplicialGraph]:
     """All 2^(n choose 2) labeled graphs on n vertices, in edge-mask order."""
+    import string
+    from itertools import combinations
+
+    from .graphs import SimplicialGraph
+
     if names is None:
         names = list(string.ascii_lowercase[:n]) if n <= 26 else [f"v{i:03d}" for i in range(n)]
     pairs = list(combinations(names, 2))
@@ -199,6 +218,11 @@ def census_rows(graphs_by_n: dict[int, Iterable[SimplicialGraph]]) -> list[dict]
     Every connected graph's verdict is cross-checked against the removal
     oracle; a disagreement is an internal error, not a report entry.
     """
+    from .blocks import is_biconnected
+    from .graphs import connected_components
+    from .jsj import jsj
+    from .splitting import Z_SPLIT_YES, splits_over_z
+
     rows = []
     for n in sorted(graphs_by_n):
         connected = biconnected = splits = 0
@@ -238,6 +262,9 @@ def census_rows(graphs_by_n: dict[int, Iterable[SimplicialGraph]]) -> list[dict]
 
 def cmd_census(args: argparse.Namespace) -> int:
     if args.file is not None:
+        from .graphs import ParseError
+        from .serialize import parse_graph6
+
         text = _read_text(args.file)
         by_n: dict[int, list[SimplicialGraph]] = {}
         for lineno, line in enumerate(text.splitlines(), start=1):
@@ -314,6 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    from .graphs import GraphError, ParseError
+
     try:
         return args.func(args)
     except (ParseError, _Unreadable) as exc:

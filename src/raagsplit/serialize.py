@@ -6,8 +6,6 @@ bytes; golden-file tests rely on it.
 
 from __future__ import annotations
 
-import json
-
 from .graphs import GraphError, ParseError, SimplicialGraph
 from .jsj import BLACK, CyclicGroup, GraphOfGroups, RaagGroup
 from .splitting import NonSplitCover, SmallCaseWitness, SplitReport, Witness, ZSplitWitness
@@ -56,6 +54,8 @@ def _payload_json(fields: dict) -> str:
     same object comes round again, and every piece goes into one list that
     is joined once.
     """
+    import json  # here, so that ``raag jsj`` and ``raag export-dot`` never load it
+
     parts = []
     for key, value in fields.items():
         parts += (", " if parts else "{", json.dumps(key), ": ")

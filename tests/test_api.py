@@ -2,11 +2,15 @@
 
 Their files are parsed, not imported, so this holds without the benchmark's
 own dependencies: every ``raagsplit`` name they import must resolve, and a
-name they take from the package root must be public.
+name they take from the package root must be public.  The package root loads
+its submodules lazily; ``TestLazyRoot`` checks, each time in a new
+interpreter, that this changes none of the names it exports.
 """
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -57,3 +61,59 @@ def test_client_imports_resolve(client):
             private_root.append(name)
     assert unresolved == []
     assert private_root == []
+
+
+SRC = ROOT / "src"
+
+# the parent of the lazy root exported exactly these
+PUBLIC_NAMES = [
+    "BlockTree", "CyclicGroup", "GoGEdge", "GoGVertex", "GraphError", "GraphOfGroups",
+    "NonSplitCover", "ParseError", "Presentation", "RaagGroup", "SimplicialGraph",
+    "SmallCaseWitness", "SplitReport", "ZSplitWitness", "abelianization", "amalgam_defects",
+    "block_tree", "build_j0", "check_coverage", "check_euler", "clique_counts", "collapse_to_j",
+    "connected_components", "cover_defects", "cut_vertices", "emit_presentation",
+    "euler_characteristic", "is_biconnected", "is_reduced", "jsj", "nonsplit_cover",
+    "parse_graph", "raag_presentation", "smith_normal_form", "splits_over_z",
+    "two_edge_segments", "verify_cover", "z_split_witness",
+]
+
+
+def fresh(code: str) -> str:
+    """stdout of ``code`` run in a new interpreter that sees only src and the stdlib."""
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", f"import sys; sys.path.insert(0, {str(SRC)!r})\n{code}"],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return result.stdout
+
+
+class TestLazyRoot:
+    @pytest.mark.parametrize(
+        "first", ["import raagsplit.presentations", "from raagsplit.jsj import build_j0", "pass"]
+    )
+    def test_jsj_stays_the_function(self, first):
+        code = f"{first}\nimport raagsplit, types\nprint(isinstance(raagsplit.jsj, types.FunctionType))"
+        assert fresh(code) == "True\n"
+
+    def test_star_import_binds_exactly_all(self):
+        code = (
+            "before = set(globals())\nfrom raagsplit import *\nimport raagsplit\n"
+            "print(sorted(set(globals()) - before - {'before', 'raagsplit'}))\n"
+            "print(raagsplit.__all__)"
+        )
+        bound, names = fresh(code).splitlines()
+        assert bound == names == repr(PUBLIC_NAMES)
+
+    def test_dir_lists_all(self):
+        listed = fresh("import raagsplit\nprint(*dir(raagsplit))").split()
+        assert {"__all__", *PUBLIC_NAMES} <= set(listed)
+
+    def test_submodule_resolves_on_the_package(self):
+        code = "import raagsplit\nprint(raagsplit.splitting.__name__, raagsplit.cli.__name__)"
+        assert fresh(code) == "raagsplit.splitting raagsplit.cli\n"
+
+    def test_unknown_name_is_an_attribute_error(self):
+        code = "import raagsplit\ntry:\n    raagsplit.nope\nexcept AttributeError as exc:\n    print(exc)"
+        assert fresh(code) == "module 'raagsplit' has no attribute 'nope'\n"

@@ -1,7 +1,12 @@
 import hashlib
+import io
 import json
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -32,14 +37,14 @@ from conftest import graphs, hand_built_gogs, oracle_is_biconnected, scale_graph
 STAR = "c l1\nc l2\nc l3\n"
 TWO_TRIANGLES = "a b\na c\nb c\nc d\nd e\nd f\ne f\n"
 TRIANGLE = "a b\nb c\na c\n"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
     if stdin is not None:
-        import io
-        import sys
-
-        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        # a text stream over bytes, as real stdin is: the CLI reads its .buffer
+        data = stdin if isinstance(stdin, bytes) else stdin.encode("utf-8")
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
     code = main(argv)
     out, err = capsys.readouterr()
     return code, out, err
@@ -303,13 +308,32 @@ class TestUnreadableInput:
         assert err.startswith(f"error: cannot read {unreadable}: ") and err.count("\n") == 1
 
     def test_invalid_utf8_on_stdin(self, capsys, monkeypatch):
-        import io
-        import sys
-
-        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xff a\n"), encoding="utf-8"))
-        code, out, err = run(capsys, ["split", "-"])
+        code, out, err = run(capsys, ["split", "-"], stdin=b"\xff a\n", monkeypatch=monkeypatch)
         assert (code, out) == (2, "") and err.startswith("error: cannot read -: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("env", [{"LC_ALL": "C"}, {"PYTHONIOENCODING": "utf-8"}])
+    def test_invalid_utf8_on_stdin_in_any_environment(self, env):
+        # the C locale turns on UTF-8 mode, whose text stdin decodes 0xff to a lone surrogate
+        keep = {k: v for k, v in os.environ.items() if not k.startswith(("LC_", "LANG", "PYTHONIO", "PYTHONUTF8"))}
+        code = "import sys; sys.path.insert(0, sys.argv.pop(1)); from raagsplit.cli import entry; entry()"
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", code, str(SRC), "split", "-"],
+            input=b"\xff a\n",
+            capture_output=True,
+            env={**keep, **env},
+        )
+        assert (result.returncode, result.stdout) == (2, b"")
+        assert result.stderr.startswith(b"error: cannot read -: 'utf-8' codec can't decode byte 0xff ")
+        assert result.stderr.count(b"\n") == 1
+
+    @pytest.mark.parametrize("text", ["a b\r\nb c\r\nc a\r\n", "a b\r\n\r\nb b\r\n"], ids=["triangle", "self-loop"])
+    def test_crlf_file_and_stdin_read_alike(self, capsys, monkeypatch, tmp_path, text):
+        path = tmp_path / "crlf.txt"
+        path.write_bytes(text.encode("utf-8"))
+        for command in ("split", "jsj"):
+            from_file = run(capsys, [command, str(path)])
+            assert run(capsys, [command, "-"], stdin=text, monkeypatch=monkeypatch) == from_file
 
 
 class TestExportDot:
@@ -589,3 +613,39 @@ class TestGraph6:
         )
         assert code == 0
         assert json.loads(out)["z_split"] == "no"
+
+
+class TestImportSet:
+    """Each command loads only the modules it runs; a new top-level import would undo that."""
+
+    CORE = ["raagsplit", "raagsplit.blocks", "raagsplit.cli", "raagsplit.graphs", "raagsplit.jsj"]
+    WRITE = [*CORE, "raagsplit.serialize", "raagsplit.splitting"]
+
+    @pytest.mark.parametrize(
+        "argv, loaded",
+        [
+            ("--help", ["raagsplit", "raagsplit.cli"]),
+            ("no-such-command", ["raagsplit", "raagsplit.cli"]),
+            ("split FILE", ["json", *WRITE]),
+            ("witness FILE", ["json", *WRITE]),
+            ("jsj FILE", WRITE),
+            ("jsj FILE --format=dot", WRITE),
+            ("export-dot FILE --stage=j", WRITE),
+            ("check FILE", [*CORE, "raagsplit.presentations"]),
+        ],
+    )
+    def test_modules_loaded(self, tmp_path, argv, loaded):
+        graph = tmp_path / "two_triangles.txt"
+        graph.write_text(TWO_TRIANGLES)
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1])\n"
+            "from raagsplit.cli import main\n"
+            "try:\n    main(sys.argv[2:])\nexcept SystemExit:\n    pass\n"
+            "print(*sorted(m for m in sys.modules if m == 'json' or m.partition('.')[0] == 'raagsplit'),"
+            " file=sys.stderr)"
+        )
+        args = [str(graph) if arg == "FILE" else arg for arg in argv.split()]
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", code, str(SRC), *args], capture_output=True, text=True
+        )
+        assert result.stderr.splitlines()[-1].split() == sorted(loaded)

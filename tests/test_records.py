@@ -52,10 +52,11 @@ def test_fields_cannot_be_assigned(record):
 
 
 def test_cli_import_leaves_out_dataclasses():
-    # -S keeps site-packages (and any .pth hooks) out, so only src and the stdlib load
+    # -S keeps site-packages (and any .pth hooks) out, so only src and the stdlib load;
+    # the star import loads every module with records, since the package root is lazy
     code = (
-        "import sys; sys.path.insert(0, sys.argv[1]); import raagsplit.cli; "
-        "print('dataclasses' in sys.modules)"
+        "import sys; sys.path.insert(0, sys.argv[1]); import raagsplit.cli, raagsplit.serialize; "
+        "from raagsplit import *; print('dataclasses' in sys.modules)"
     )
     result = subprocess.run(
         [sys.executable, "-S", "-c", code, str(SRC)], capture_output=True, text=True, check=True
