@@ -15,6 +15,7 @@ and ``cover_defects``.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from typing import TYPE_CHECKING
 
@@ -99,12 +100,9 @@ def cmd_split(args: argparse.Namespace) -> int:
 
 
 def _decomposition(g: SimplicialGraph, stage: str) -> GraphOfGroups:
-    from .jsj import build_j0, collapse_to_j
+    from .jsj import build_j0, jsj
 
-    gog = build_j0(g)
-    if stage == "j":
-        gog = collapse_to_j(gog)
-    return gog
+    return jsj(g) if stage == "j" else build_j0(g)
 
 
 def cmd_jsj(args: argparse.Namespace) -> int:
@@ -354,6 +352,8 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 
 def entry() -> None:
+    # no record is in a reference cycle; ``main`` and the library leave GC state alone
+    gc.disable()
     raise SystemExit(main())
 
 

@@ -297,6 +297,15 @@ def _is_hamiltonian_cycle(
     return arcs.issuperset(zip(seq, seq[1:] + seq[:1]))
 
 
+def _grow_cliques(nbr: list[int], counts: list[int], candidates: int, size: int) -> None:
+    """Count a clique of ``size`` and its extensions by ``candidates``; no closure, so no cycle."""
+    counts[size] += 1
+    while candidates:
+        low = candidates & -candidates
+        candidates ^= low
+        _grow_cliques(nbr, counts, nbr[low.bit_length() - 1] & candidates, size + 1)
+
+
 def clique_counts(g: SimplicialGraph) -> list[int]:
     """Number of complete induced subgraphs by size; entry 0 is the empty clique.
 
@@ -315,15 +324,7 @@ def clique_counts(g: SimplicialGraph) -> list[int]:
         nbr[i] |= 1 << j
         nbr[j] |= 1 << i
     counts = [0] * (n + 1)
-
-    def grow(candidates: int, size: int) -> None:
-        counts[size] += 1
-        while candidates:
-            low = candidates & -candidates
-            candidates ^= low
-            grow(nbr[low.bit_length() - 1] & candidates, size + 1)
-
-    grow((1 << n) - 1, 0)
+    _grow_cliques(nbr, counts, (1 << n) - 1, 0)
     while len(counts) > 1 and counts[-1] == 0:
         counts.pop()
     return counts

@@ -11,7 +11,8 @@ edge groups are maximal cyclic.
 from __future__ import annotations
 
 from collections import Counter
-from typing import NamedTuple, Optional, Union
+from itertools import chain
+from typing import Collection, NamedTuple, Optional, Union
 
 from .blocks import block_tree
 from .graphs import GraphError, SimplicialGraph
@@ -21,6 +22,7 @@ class RaagGroup(NamedTuple):
     """The right-angled Artin group on an induced subgraph of the source graph."""
 
     vertices: tuple[str, ...]
+    _kind = "raag"  # what the writers call it, so that they need not import this module
 
     def generators(self) -> tuple[str, ...]:
         return self.vertices
@@ -30,6 +32,7 @@ class CyclicGroup(NamedTuple):
     """The infinite cyclic group on a single source-graph vertex."""
 
     generator: str
+    _kind = "cyclic"
 
     def generators(self) -> tuple[str, ...]:
         return (self.generator,)
@@ -87,8 +90,12 @@ class GraphOfGroups(_GraphOfGroups):
         return cls(*iterable)
 
 
-def build_j0(g: SimplicialGraph) -> GraphOfGroups:
-    """Initial decomposition over the block tree, with loops at hanging blocks."""
+def _decompose(g: SimplicialGraph, absorb: bool) -> GraphOfGroups:
+    """J0 in one walk over the blocks in white order; with ``absorb``, J, as ``collapse_to_j`` gives it.
+
+    A cut vertex in exactly two blocks then goes into the first, least, one: its edge there
+    is numbered but not made, and its edge to the second block ends at the first.
+    """
     if len(g.vertices) < 3:
         raise GraphError("decomposition needs a connected graph with at least three vertices")
     try:
@@ -99,29 +106,49 @@ def build_j0(g: SimplicialGraph) -> GraphOfGroups:
     # each, shared by its black vertex, its edges and its loops
     vertex, edge = GoGVertex._make, GoGEdge._make
     cut = {v: (bid, CyclicGroup(v), (v, v)) for bid, v in bt.black}
+    twice: Collection[str] = ()  # the vertices in exactly two blocks, all cut vertices
+    if absorb:
+        blocks_of = Counter(chain.from_iterable(blk for _, blk in bt.white))
+        twice = {v for v, n in blocks_of.items() if n == 2}
+    home: dict[str, str] = {}  # each cut vertex in ``twice`` to the first white reached
 
     vertices: list[GoGVertex] = []
     edges: list[GoGEdge] = []
     loops: list[tuple[str, str, str]] = []  # (white id, cut vertex, stable letter)
+    k = 0  # the next edge number; an absorbed edge takes one too
     for wid, blk in bt.white:
         cuts = [v for v in blk if v in cut]
+        absorbed = []
         for v in cuts:
             bid, group, inclusions = cut[v]
-            edges.append(edge((f"e{len(edges)}", (bid, wid), group, inclusions, None)))
+            if v in twice:  # the second edge of v ends at its first white, in place of bid
+                bid = home.setdefault(v, wid)
+            if bid == wid:  # the first edge of v is the one collapsed
+                absorbed.append(v)  # blocks are sorted, so these are too
+            else:
+                edges.append(edge((f"e{k}", (bid, wid), group, inclusions, None)))
+            k += 1
+        color = MERGED if absorbed else WHITE
         if len(blk) != 2:
-            vertices.append(vertex((wid, WHITE, RaagGroup(blk), False, False, blk, ())))
+            vertices.append(vertex((wid, color, RaagGroup(blk), False, False, blk, tuple(absorbed))))
         elif len(cuts) == 1:  # hanging
             v = cuts[0]
             loops.append((wid, v, blk[1] if v == blk[0] else blk[0]))
-            vertices.append(vertex((wid, WHITE, cut[v][1], True, True, blk, ())))
+            vertices.append(vertex((wid, color, cut[v][1], True, True, blk, tuple(absorbed))))
         else:
-            vertices.append(vertex((wid, WHITE, RaagGroup(blk), True, False, blk, ())))
+            vertices.append(vertex((wid, color, RaagGroup(blk), True, False, blk, tuple(absorbed))))
     for bid, v in bt.black:
-        vertices.append(vertex((bid, BLACK, cut[v][1], False, False, None, ())))
-    for wid, v, w in loops:
+        if v not in home:
+            vertices.append(vertex((bid, BLACK, cut[v][1], False, False, None, ())))
+    for i, (wid, v, w) in enumerate(loops, k):
         _, group, inclusions = cut[v]
-        edges.append(edge((f"e{len(edges)}", (wid, wid), group, inclusions, w)))
+        edges.append(edge((f"e{i}", (wid, wid), group, inclusions, w)))
     return GraphOfGroups(vertices=tuple(vertices), edges=tuple(edges), source=g)
+
+
+def build_j0(g: SimplicialGraph) -> GraphOfGroups:
+    """Initial decomposition over the block tree, with loops at hanging blocks."""
+    return _decompose(g, False)
 
 
 def collapse_to_j(j0: GraphOfGroups) -> GraphOfGroups:
@@ -196,5 +223,5 @@ def is_reduced(gog: GraphOfGroups) -> bool:
 
 
 def jsj(g: SimplicialGraph) -> GraphOfGroups:
-    """The reduced decomposition: collapse the block-tree decomposition."""
-    return collapse_to_j(build_j0(g))
+    """The reduced decomposition, ``collapse_to_j(build_j0(g))``, built without J0."""
+    return _decompose(g, True)

@@ -6,17 +6,24 @@ bytes; golden-file tests rely on it.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .graphs import GraphError, ParseError, SimplicialGraph
-from .jsj import BLACK, CyclicGroup, GraphOfGroups, RaagGroup
-from .splitting import NonSplitCover, SmallCaseWitness, SplitReport, Witness, ZSplitWitness
+
+# each record names its own kind, which the writers dispatch on: ``raag jsj`` never loads
+# ``splitting``, nor ``raag split`` ``jsj``
+if TYPE_CHECKING:
+    from .jsj import GraphOfGroups
+    from .splitting import SplitReport, Witness
 
 GRAPH6_MAX_VERTICES = 62
 
 
 def witness_to_dict(w: Witness) -> dict:
-    if isinstance(w, ZSplitWitness):
+    kind = getattr(w, "_kind", None)
+    if kind == "amalgam":
         return {"kind": "amalgam", "side1": list(w.side1), "side2": list(w.side2), "vertex": w.vertex}
-    if isinstance(w, NonSplitCover):
+    if kind == "cover":
         return {
             "kind": "cover",
             "cover": [
@@ -24,7 +31,7 @@ def witness_to_dict(w: Witness) -> dict:
                 for seg, (delta, cycle) in sorted(w.entries.items())
             ],
         }
-    if isinstance(w, SmallCaseWitness):
+    if kind == "small_case":
         return {"kind": "small_case", "tag": w.tag}
     raise GraphError(f"unknown witness {w!r}")
 
@@ -61,7 +68,7 @@ def _payload_json(fields: dict) -> str:
         parts += (", " if parts else "{", json.dumps(key), ": ")
         if key != "witness":
             parts.append(json.dumps(value))
-        elif not isinstance(value, NonSplitCover):
+        elif getattr(value, "_kind", None) != "cover":
             parts.append(json.dumps(witness_to_dict(value)))
         else:
             parts.append('{"kind": "cover", "cover": [')
@@ -81,12 +88,12 @@ def _payload_json(fields: dict) -> str:
     return "".join(parts)
 
 
-def _group_to_dict(group) -> dict:
-    if isinstance(group, RaagGroup):
-        return {"kind": "raag", "vertices": list(group.vertices)}
-    if isinstance(group, CyclicGroup):
-        return {"kind": "cyclic", "vertices": [group.generator]}
-    raise GraphError(f"unknown group descriptor {group!r}")
+def _group_kind(group) -> str:
+    """``raag`` or ``cyclic``, as the group record names itself."""
+    kind = getattr(group, "_kind", None)
+    if kind not in ("raag", "cyclic"):
+        raise GraphError(f"unknown group descriptor {group!r}")
+    return kind
 
 
 def gog_to_dict(gog: GraphOfGroups) -> dict:
@@ -95,7 +102,7 @@ def gog_to_dict(gog: GraphOfGroups) -> dict:
             {
                 "id": v.id,
                 "color": v.color,
-                "group": _group_to_dict(v.group),
+                "group": {"kind": _group_kind(v.group), "vertices": list(v.group.generators())},
                 "hanging": v.hanging,
                 "toral": v.toral,
             }
@@ -115,7 +122,7 @@ def gog_to_dict(gog: GraphOfGroups) -> dict:
 
 
 def _gog_json(gog: GraphOfGroups) -> str:
-    """``json.dumps(gog_to_dict(gog))``, for a decomposition built by ``build_j0`` or ``collapse_to_j``.
+    """``json.dumps(gog_to_dict(gog))``, for a decomposition built by this library.
 
     Every id, color, name and stable letter of such a decomposition is a
     token with nothing to escape, so each record is written as one f-string
@@ -124,12 +131,7 @@ def _gog_json(gog: GraphOfGroups) -> str:
     vertices = []
     for v in gog.vertices:
         group = v.group
-        if isinstance(group, RaagGroup):
-            text = '{"kind": "raag", "vertices": ' + _names_json(group.vertices) + "}"
-        elif isinstance(group, CyclicGroup):
-            text = '{"kind": "cyclic", "vertices": ["' + group.generator + '"]}'
-        else:
-            raise GraphError(f"unknown group descriptor {group!r}")
+        text = f'{{"kind": "{_group_kind(group)}", "vertices": {_names_json(group.generators())}}}'
         vertices.append(
             f'{{"id": "{v.id}", "color": "{v.color}", "group": {text}, '
             f'"hanging": {_JSON_BOOL[v.hanging]}, "toral": {_JSON_BOOL[v.toral]}}}'
@@ -146,21 +148,15 @@ def _gog_json(gog: GraphOfGroups) -> str:
     return f'{{"vertices": [{", ".join(vertices)}], "edges": [{", ".join(edges)}]}}'
 
 
-def _group_label(group) -> str:
-    if isinstance(group, RaagGroup):
-        return "raag:" + ",".join(group.vertices)
-    return "cyclic:" + group.generator
-
-
 def gog_to_dot(gog: GraphOfGroups) -> str:
     """DOT rendering: black/white nodes, edges labeled by their group generator,
     loops by their stable letter."""
+    from .jsj import BLACK
     lines = ["graph decomposition {"]
     for v in gog.vertices:
         fill = "black" if v.color == BLACK else "white"
-        lines.append(
-            f'  "{v.id}" [shape=circle, fillcolor={fill}, style=filled, label="{_group_label(v.group)}"];'
-        )
+        label = _group_kind(v.group) + ":" + ",".join(v.group.generators())
+        lines.append(f'  "{v.id}" [shape=circle, fillcolor={fill}, style=filled, label="{label}"];')
     for e in gog.edges:
         label = e.stable_letter if e.is_loop else e.group.generator
         lines.append(f'  "{e.ends[0]}" -- "{e.ends[1]}" [label="{label}"];')

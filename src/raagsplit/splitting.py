@@ -39,6 +39,7 @@ class ZSplitWitness(NamedTuple):
     side1: tuple[str, ...]
     side2: tuple[str, ...]
     vertex: str
+    _kind = "amalgam"  # what the writers call it, so that they need not import this module
 
 
 class NonSplitCover(NamedTuple):
@@ -49,12 +50,14 @@ class NonSplitCover(NamedTuple):
     """
 
     entries: dict[tuple[str, str, str], tuple[tuple[str, ...], tuple[str, ...]]]
+    _kind = "cover"
 
 
 class SmallCaseWitness(NamedTuple):
     """Verdict tag for one- and two-vertex graphs: "Z", "F2" or "Z^2"."""
 
     tag: str
+    _kind = "small_case"
 
 
 Witness = Union[ZSplitWitness, NonSplitCover, SmallCaseWitness]

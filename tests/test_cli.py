@@ -619,18 +619,22 @@ class TestImportSet:
     """Each command loads only the modules it runs; a new top-level import would undo that."""
 
     CORE = ["raagsplit", "raagsplit.blocks", "raagsplit.cli", "raagsplit.graphs", "raagsplit.jsj"]
-    WRITE = [*CORE, "raagsplit.serialize", "raagsplit.splitting"]
+    # the verdict commands write no decomposition, and the decomposition commands no verdict
+    VERDICT = [
+        "json", "raagsplit", "raagsplit.blocks", "raagsplit.cli", "raagsplit.graphs",
+        "raagsplit.serialize", "raagsplit.splitting",
+    ]
 
     @pytest.mark.parametrize(
         "argv, loaded",
         [
             ("--help", ["raagsplit", "raagsplit.cli"]),
             ("no-such-command", ["raagsplit", "raagsplit.cli"]),
-            ("split FILE", ["json", *WRITE]),
-            ("witness FILE", ["json", *WRITE]),
-            ("jsj FILE", WRITE),
-            ("jsj FILE --format=dot", WRITE),
-            ("export-dot FILE --stage=j", WRITE),
+            ("split FILE", VERDICT),
+            ("witness FILE", VERDICT),
+            ("jsj FILE", [*CORE, "raagsplit.serialize"]),
+            ("jsj FILE --format=dot", [*CORE, "raagsplit.serialize"]),
+            ("export-dot FILE --stage=j", [*CORE, "raagsplit.serialize"]),
             ("check FILE", [*CORE, "raagsplit.presentations"]),
         ],
     )

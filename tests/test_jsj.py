@@ -2,6 +2,7 @@ from collections import Counter
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from raagsplit import (
     CyclicGroup,
@@ -10,6 +11,7 @@ from raagsplit import (
     GraphError,
     GraphOfGroups,
     RaagGroup,
+    SimplicialGraph,
     build_j0,
     collapse_to_j,
     cut_vertices,
@@ -20,6 +22,7 @@ from raagsplit import (
 )
 from raagsplit.cli import labeled_graphs
 from raagsplit.jsj import BLACK, MERGED, WHITE
+from raagsplit.serialize import _gog_json, gog_to_dot
 
 from conftest import (
     frozen_build_j0,
@@ -205,14 +208,26 @@ class TestGraphOfGroups:
         assert gog._replace(edges=()).edges == ()
 
 
+def assert_one_pass_j(g):
+    """``jsj(g)`` has the records, record types and bytes of ``collapse_to_j(build_j0(g))``."""
+    j, collapsed = jsj(g), collapse_to_j(build_j0(g))
+    assert j == collapsed
+    types = [list(map(type, (*gog.vertices, *gog.edges))) for gog in (j, collapsed)]
+    assert types[0] == types[1]
+    assert _gog_json(j) == _gog_json(collapsed)
+    assert gog_to_dot(j) == gog_to_dot(collapsed)
+
+
 class TestFrozenBuilders:
-    """``build_j0`` and ``collapse_to_j`` give the records of their frozen copies in conftest."""
+    """``build_j0`` and ``collapse_to_j`` give the records of their frozen copies in conftest,
+    and ``jsj``, which builds J without J0, gives their collapse."""
 
     @staticmethod
     def assert_same(g):
         j0 = build_j0(g)
         assert j0 == frozen_build_j0(g)
         assert collapse_to_j(j0) == frozen_collapse_to_j(j0)
+        assert_one_pass_j(g)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_all_connected_graphs(self, n):
@@ -239,3 +254,31 @@ class TestFrozenBuilders:
         groups = {id(v.group) for v in j0.vertices if v.group == CyclicGroup("c")}
         groups |= {id(e.group) for e in j0.edges}
         assert len(groups) == 1
+
+
+@st.composite
+def sparse_connected_graphs(draw):
+    """A random spanning tree plus a few chords: many blocks, of every size, and many cut vertices."""
+    n = draw(st.integers(min_value=3, max_value=16))
+    names = [f"v{i:02d}" for i in range(n)]
+    order = draw(st.permutations(names))
+    parents = [order[draw(st.integers(min_value=0, max_value=i - 1))] for i in range(1, n)]
+    edges = {tuple(sorted(pair)) for pair in zip(order[1:], parents)}
+    chords = draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)), max_size=n // 2))
+    edges |= {tuple(sorted(pair)) for pair in chords if pair[0] != pair[1]}
+    return SimplicialGraph(names, sorted(edges))
+
+
+class TestOnePassJ:
+    """``assert_one_pass_j`` on cut-heavy graphs; ``TestFrozenBuilders`` runs it on all 27,474
+    connected labeled graphs on 3-6 vertices."""
+
+    @pytest.mark.parametrize("n", [300, 2000])
+    @pytest.mark.parametrize("family", ["path", "random-tree", "k4-chain", "cactus"])
+    def test_scale_families(self, family, n):
+        assert_one_pass_j(scale_graph(family, n, 1))
+
+    @given(sparse_connected_graphs())
+    @settings(max_examples=300)
+    def test_property(self, g):
+        assert_one_pass_j(g)
