@@ -171,15 +171,14 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def labeled_graphs(n: int, names: Optional[list[str]] = None) -> Iterator[SimplicialGraph]:
+def labeled_graphs(n: int) -> Iterator[SimplicialGraph]:
     """All 2^(n choose 2) labeled graphs on n vertices, in edge-mask order."""
     import string
     from itertools import combinations
 
     from .graphs import SimplicialGraph
 
-    if names is None:
-        names = list(string.ascii_lowercase[:n]) if n <= 26 else [f"v{i:03d}" for i in range(n)]
+    names = list(string.ascii_lowercase[:n]) if n <= 26 else [f"v{i:03d}" for i in range(n)]
     pairs = list(combinations(names, 2))
     for mask in range(1 << len(pairs)):
         edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]

@@ -5,11 +5,14 @@ exponent) letters with exponents +-1.  Abelianization goes through an exact
 integer Smith normal form, so torsion is certified absent rather than sampled.
 A graph of groups is presented over the maximal tree that one union-find
 picks from its edges in order; a second union-find merges the generator
-copies along that tree, so tree edges leave no relator.
+copies along that tree.  Once each merged class carries one source-graph
+name and each name one class, generators are indexed by name, so tree edges
+leave no relator.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, NamedTuple
 
 from .blocks import cut_vertices
@@ -70,11 +73,11 @@ def emit_presentation(gog: GraphOfGroups) -> Presentation:
     edge exactly when it joins two pieces that earlier edges left apart, so
     loops never are.  Any maximal tree presents the same group; on the
     tree-plus-loops bases that ``build_j0`` and ``collapse_to_j`` build, every
-    non-loop edge is a tree edge.  Generator copies identified along tree
-    edges merge into one symbol named by the underlying source-graph vertex,
-    so a decomposition of A(g) presents itself on g's own vertex names and
-    tree edges leave no relator.  Every other edge contributes its stable
-    letter and a conjugation relator.
+    non-loop edge is a tree edge.  Copies merged along tree edges must carry
+    one source-graph name, and each name one class of copies; the symbol of a
+    copy is then its name, so a decomposition of A(g) presents itself on g's
+    own vertex names and tree edges leave no relator.  Every other edge
+    contributes its stable letter and a conjugation relator.
     """
     pieces = _UnionFind()
     uf = _UnionFind()
@@ -87,123 +90,84 @@ def emit_presentation(gog: GraphOfGroups) -> Presentation:
             non_tree.append(e)
     if len({pieces.find(v.id) for v in gog.vertices}) != 1:
         raise GraphError("graph of groups has a disconnected base graph")
-    copies = {(v.id, x) for v in gog.vertices for x in v.group.generators()}
+    copies = dict.fromkeys((v.id, x) for v in gog.vertices for x in v.group.generators())
     for e in gog.edges:
         for vid, x in zip(e.ends, e.inclusions):
             if (vid, x) not in copies:
                 raise GraphError(f"edge {e.id} includes {x!r}, not a generator at {vid!r}")
 
-    class_name: dict = {}
-    for v in gog.vertices:
-        for x in v.group.generators():
-            root = uf.find((v.id, x))
-            prior = class_name.get(root)
-            if prior is not None and prior != x:
-                raise GraphError(f"merged generators disagree on a name: {prior!r} vs {x!r}")
-            class_name[root] = x
+    class_name: dict = {}  # classes of copies in first-copy order
+    for copy in copies:
+        x = copy[1]
+        prior = class_name.setdefault(uf.find(copy), x)
+        if prior != x:
+            raise GraphError(f"merged generators disagree on a name: {prior!r} vs {x!r}")
+    index: dict[str, int] = {}
+    for x in class_name.values():
+        if x in index:
+            raise GraphError(f"generator name {x!r} is carried by two distinct symbols")
+        index[x] = len(index)
 
-    generators: list[str] = []
-    index: dict = {}
-    by_name: dict[str, int] = {}
-
-    def symbol(vid: str, x: str) -> int:
-        root = uf.find((vid, x))
-        if root not in index:
-            name = class_name[root]
-            if name in by_name:
-                raise GraphError(f"generator name {name!r} is carried by two distinct symbols")
-            index[root] = len(generators)
-            by_name[name] = index[root]
-            generators.append(name)
-        return index[root]
-
-    for v in gog.vertices:
-        for x in v.group.generators():
-            symbol(v.id, x)
-
-    relators: list[Word] = []
-    for v in gog.vertices:
-        if isinstance(v.group, RaagGroup):
-            for a, b in _span_edges(gog.source, v.group.vertices):
-                relators.append(_commutator(symbol(v.id, a), symbol(v.id, b)))
+    relators = [
+        _commutator(index[a], index[b])
+        for v in gog.vertices
+        if isinstance(v.group, RaagGroup)
+        for a, b in _span_edges(gog.source, v.group.vertices)
+    ]
     for e in non_tree:
-        if e.stable_letter is None:
+        letter = e.stable_letter
+        if letter is None:
             raise GraphError(f"non-tree edge {e.id} has no stable letter")
-        if e.stable_letter in by_name:
-            raise GraphError(f"stable letter {e.stable_letter!r} collides with a generator")
-        t = len(generators)
-        by_name[e.stable_letter] = t
-        generators.append(e.stable_letter)
-        img0 = symbol(e.ends[0], e.inclusions[0])
-        img1 = symbol(e.ends[1], e.inclusions[1])
-        relators.append(((t, 1), (img0, 1), (t, -1), (img1, -1)))  # t is fresh: nothing cancels
-    return Presentation(generators=tuple(generators), relators=tuple(relators))
+        if letter in index:
+            raise GraphError(f"stable letter {letter!r} collides with a generator")
+        t = index[letter] = len(index)  # fresh, so nothing in the relator cancels
+        a, b = e.inclusions
+        relators.append(((t, 1), (index[a], 1), (t, -1), (index[b], -1)))
+    return Presentation(generators=tuple(index), relators=tuple(relators))
 
 
 def smith_normal_form(matrix: list[list[int]]) -> list[int]:
     """Nonzero elementary divisors d1 | d2 | ... of an integer matrix.
 
-    Exact arbitrary-precision row and column reduction; the empty list means
-    rank zero.
+    Exact arbitrary-precision reduction; the empty list means rank zero.  Each
+    round pivots on a least nonzero entry and reduces its row and column by
+    it; a remainder, smaller than the pivot, leads the next round, and a pivot
+    left alone in its row and column is a diagonal entry and leaves with them.
+    Replacing each pair of diagonal entries by their gcd and lcm then makes a
+    divisibility chain (Newman, *Integral Matrices*, 1972, ch. II).
+
+    >>> smith_normal_form([[2, 4], [6, 8]])
+    [2, 4]
     """
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
+    cols = len(matrix[0]) if matrix else 0
     if any(len(row) != cols for row in matrix):
         raise GraphError("matrix is not rectangular")
     a = [[int(x) for x in row] for row in matrix]
-    divisors: list[int] = []
-    t = 0
-    while t < rows and t < cols:
-        # move a least-magnitude nonzero entry of the trailing block to (t, t)
-        pivot = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if a[i][j] and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
+    diagonal: list[int] = []
+    while True:
+        nonzero = [(abs(x), i, j) for i, row in enumerate(a) for j, x in enumerate(row) if x]
+        if not nonzero:
             break
-        pi, pj = pivot
-        a[t], a[pi] = a[pi], a[t]
-        for row in a:
-            row[t], row[pj] = row[pj], row[t]
-        while True:
-            if a[t][t] < 0:
-                a[t] = [-x for x in a[t]]
-            dirty = False
-            for i in range(t + 1, rows):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                    if a[i][t]:
-                        a[t], a[i] = a[i], a[t]
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            for j in range(t + 1, cols):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    for row in a:
-                        row[j] -= q * row[t]
-                    if a[t][j]:
-                        for row in a:
-                            row[t], row[j] = row[j], row[t]
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            # row and column are clear; force divisibility of the rest
-            for i in range(t + 1, rows):
-                bad = next((j for j in range(t + 1, cols) if a[i][j] % a[t][t]), None)
-                if bad is not None:
-                    a[t] = [x + y for x, y in zip(a[t], a[i])]
-                    dirty = True
-                    break
-            if not dirty:
-                break
-        divisors.append(a[t][t])
-        t += 1
-    return divisors
+        _, i, j = min(nonzero)
+        pivot_row = a[i]
+        p = pivot_row[j]
+        for k, row in enumerate(a):
+            if k != i and row[j]:
+                q = row[j] // p
+                a[k] = [x - q * y for x, y in zip(row, pivot_row)]
+        quotients = [x // p for x in pivot_row]
+        quotients[j] = 0
+        a = [[x - q * row[j] for x, q in zip(row, quotients)] for row in a]
+        if sum(map(bool, a[i])) == 1 == sum(1 for row in a if row[j]):  # the pivot is alone
+            diagonal.append(abs(p))
+            del a[i]
+            for row in a:
+                del row[j]
+    for i in range(len(diagonal)):
+        for j in range(i + 1, len(diagonal)):
+            d, e = diagonal[i], diagonal[j]
+            diagonal[i], diagonal[j] = math.gcd(d, e), math.lcm(d, e)
+    return diagonal
 
 
 def abelianization(p: Presentation) -> tuple[int, list[int]]:
@@ -223,7 +187,7 @@ def abelianization(p: Presentation) -> tuple[int, list[int]]:
             for gen, total in exponents.items():
                 row[gen] = total
             matrix.append(row)
-    divisors = smith_normal_form(matrix) if matrix else []
+    divisors = smith_normal_form(matrix)
     return n - len(divisors), [d for d in divisors if d > 1]
 
 
@@ -245,10 +209,7 @@ def check_coverage(g: SimplicialGraph, gog: GraphOfGroups) -> bool:
     """Every source vertex is accounted for and edge groups sit on cut vertices."""
     covered: set[str] = set()
     for v in gog.vertices:
-        if isinstance(v.group, RaagGroup):
-            covered.update(v.group.vertices)
-        else:
-            covered.add(v.group.generator)
+        covered.update(v.group.generators())
     for e in gog.edges:
         if e.stable_letter is not None:
             covered.add(e.stable_letter)

@@ -113,12 +113,27 @@ class TestSmithNormalForm:
         with pytest.raises(GraphError):
             smith_normal_form([[1, 2], [3]])
 
-    def test_divisibility_chain_and_minor_ladder(self):
-        rng = random.Random(20240311)
+    @staticmethod
+    def random_matrices(rng):
+        """Dense small-entry matrices, then sparse ones with a zero row and column."""
         for _ in range(200):
             rows = rng.randint(1, 8)
             cols = rng.randint(1, 8)
-            matrix = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+            yield [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+        for _ in range(100):
+            rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+            matrix = [
+                [rng.randint(-(10**4), 10**4) if rng.random() < 0.3 else 0 for _ in range(cols)]
+                for _ in range(rows)
+            ]
+            matrix[rng.randrange(rows)] = [0] * cols
+            zero_col = rng.randrange(cols)
+            for row in matrix:
+                row[zero_col] = 0
+            yield matrix
+
+    def test_divisibility_chain_and_minor_ladder(self):
+        for matrix in self.random_matrices(random.Random(20240311)):
             divisors = smith_normal_form(matrix)
             for d1, d2 in zip(divisors, divisors[1:]):
                 assert d2 % d1 == 0
@@ -232,6 +247,49 @@ class TestEmitPresentation:
         gog = self.gog_on_ab(1, self.edge(("w0", "w0"), ("a", "a"), stable_letter="b"))
         with pytest.raises(GraphError, match="stable letter 'b' collides with a generator"):
             emit_presentation(gog)
+        first = self.edge(("w0", "w0"), ("a", "a"), stable_letter="c", eid="e0")
+        again = self.edge(("w0", "w0"), ("b", "b"), stable_letter="c", eid="e1")
+        with pytest.raises(GraphError, match="stable letter 'c' collides with a generator"):
+            emit_presentation(self.gog_on_ab(1, first, again))
+
+    @pytest.mark.parametrize(
+        "groups, edges, message",
+        [
+            (
+                [("a", "b"), ("a", "b")],
+                [(("w0", "w1"), ("a", "b")), (("w0", "w1"), ("q", "a"), "s")],
+                "edge e1 includes 'q', not a generator at 'w0'",
+            ),
+            # the first copy of a second 'a' class, (w1, a), comes before the disagreeing (w2, b)
+            (
+                [("a", "b"), ("a", "b"), ("a", "b")],
+                [(("w0", "w1"), ("b", "b")), (("w1", "w2"), ("a", "b"))],
+                "merged generators disagree on a name: 'a' vs 'b'",
+            ),
+            (
+                [("a", "b"), ("a", "b", "zz")],
+                [(("w0", "w1"), ("b", "b"))],
+                "generator name 'a' is carried by two distinct symbols",
+            ),
+            ([("a", "zz")], [(("w0", "w0"), ("a", "a"))], "vertex 'zz' not in graph"),
+            (
+                [("a", "b")],
+                [(("w0", "w0"), ("a", "a"), "b"), (("w0", "w0"), ("b", "b"))],
+                "stable letter 'b' collides with a generator",
+            ),
+        ],
+        ids=["inclusion", "names disagree", "name on two symbols", "not in graph", "edge order"],
+    )
+    def test_of_two_defects_the_earlier_check_reports(self, groups, edges, message):
+        """Inclusions, then names, then spans, then loops in edge order."""
+        vertices = tuple(
+            GoGVertex(id=f"w{i}", color="white", group=RaagGroup(gens))
+            for i, gens in enumerate(groups)
+        )
+        edges = tuple(self.edge(*spec, eid=f"e{i}") for i, spec in enumerate(edges))
+        gog = GraphOfGroups(vertices=vertices, edges=edges, source=parse_graph("a b\nb c"))
+        with pytest.raises(GraphError, match=f"^{message}$"):
+            emit_presentation(gog)
 
     def test_no_vertices_rejected(self, path3):
         with pytest.raises(GraphError, match="graph of groups has a disconnected base graph"):
@@ -263,6 +321,7 @@ class TestEmitPresentation:
         "cactus": "a95d23d62616b8ab33729fdc53efcce51ab8349b2dd21c87722b87c038a318f6",
         "k4-chain": "8d5ba8b5ab3eca7ea13b55f0907c279ba7870dedc5bca6152102fb0ce12dbc3a",
         "path": "e8b94a5c0a0312183f8a891e52ab48dcbd7f03d8b35ebee9cede1d6f793ebaed",
+        "random-tree": "3fec388334274fac00169206d17d27a087ca34ed2f6a09fbde2c78c48ef98275",
     }
 
     @pytest.mark.parametrize("family", sorted(DIGESTS))
