@@ -212,28 +212,72 @@ class TestNonSplitCover:
                     assert list(nonsplit_cover(g).entries.items()) == oracle_cover(g)
         assert count == 11617
 
+    def test_matches_one_full_search_per_pair_on_dense_graphs(self):
+        # seeded graphs on 7 and 8 vertices, each edge kept with probability 0.5-0.9:
+        # almost every path has one or two edges and is read off the neighbour sets
+        rng = random.Random(18)
+        count = 0
+        while count < 500:
+            names = [f"v{i}" for i in range(rng.choice((7, 8)))]
+            p = rng.uniform(0.5, 0.9)
+            g = SimplicialGraph(names, [e for e in combinations(names, 2) if rng.random() < p])
+            if is_biconnected(g):
+                count += 1
+                assert list(nonsplit_cover(g).entries.items()) == oracle_cover(g)
+
     def test_a_cycle_needs_no_search(self, monkeypatch):
         calls = self._count_searches(monkeypatch)
         nonsplit_cover(scale_graph("cycle", 300, 1))
         assert calls == []
 
-    def test_a_chain_searches_its_middle_once_per_direction(self, monkeypatch):
+    @pytest.mark.parametrize("edge", [False, True])
+    def test_only_a_far_chain_middle_is_searched(self, monkeypatch, edge):
         calls = self._count_searches(monkeypatch)
-        g = shuffled(THETA, 3)
+        g = shuffled(THETA + [(0, 1)] * edge, 3)
         nonsplit_cover(g)
         hubs = {v for v in g.vertices if len(g.neighbors(v)) != 2}
         chains = connected_components(induced_subgraph(g, set(g.vertices) - hubs))
         assert sorted(map(len, chains)) == [1, 2, 3, 4, 5, 6]
-        for chain in chains:
-            searches = [(start, targets) for start, avoid, targets in calls if avoid in chain]
-            if len(chain) == 1:
-                assert len(searches) == 1  # a lone inner vertex keeps its own search
-                continue
-            # at most one search from each hub to the other, not one per inner vertex
-            assert 1 <= len(searches) <= 2
-            assert len({start for start, _ in searches}) == len(searches)
-            for start, targets in searches:
-                assert start in hubs and list(targets) == list(hubs - {start})
+        in_chains = [call for call in calls if call[1] not in hubs]
+        if edge:  # every middle path is the edge between the hubs
+            assert in_chains == []
+            return
+        # the lone inner vertex's middle path runs through the two-vertex chain, three
+        # steps, so it is searched; every longer chain's runs through the lone vertex
+        (lone,) = min(chains, key=len)
+        assert in_chains == [(min(hubs), lone, (max(hubs),))]
+
+    # every path is a chord of K_n, or in K_{2,40} a hub-to-hub or side-to-side detour
+    @pytest.mark.parametrize("family", [*(f"K{n}" for n in range(4, 9)), "k2"])
+    def test_paths_of_one_or_two_edges_need_no_search(self, monkeypatch, family):
+        if family == "k2":
+            g = hub_graph(family)
+        else:
+            g = shuffled(list(combinations(range(int(family[1:])), 2)), family)
+        calls = self._count_searches(monkeypatch)
+        nonsplit_cover(g)
+        assert calls == []
+
+    def test_a_grid_searches_only_between_opposite_ends(self, monkeypatch):
+        rows, cols = 20, 25
+        at = {(r, c): r * cols + c for r in range(rows) for c in range(cols)}
+        edges = [(at[r, c], at[r + dr, c + dc]) for r, c in at for dr, dc in ((0, 1), (1, 0))
+                 if (r + dr, c + dc) in at]
+        perm = list(range(rows * cols))
+        random.Random(1).shuffle(perm)
+        name = [f"v{p:03d}" for p in perm]
+        g = SimplicialGraph.from_edges([(name[a], name[b]) for a, b in edges])
+        # two neighbours of v on one line through it are four steps apart in g - v; two
+        # on a corner share the diagonal vertex, two steps
+        opposite = sorted(
+            (name[at[r, c]], *sorted((name[at[r - dr, c - dc]], name[at[r + dr, c + dc]])))
+            for r, c in at for dr, dc in ((0, 1), (1, 0))
+            if (r - dr, c - dc) in at and (r + dr, c + dc) in at
+        )
+        calls = self._count_searches(monkeypatch)
+        nonsplit_cover(g)
+        searched = sorted((avoid, start, w) for start, avoid, targets in calls for w in targets)
+        assert searched == opposite  # each such segment once, from its lesser end
 
     @staticmethod
     def _count_searches(monkeypatch):
@@ -309,6 +353,8 @@ class TestVerifyCover:
         lambda delta, cycle: (5, cycle),
         lambda delta, cycle: (delta, 5),
         lambda delta, cycle: None,
+        lambda delta, cycle: (delta, cycle, delta),
+        lambda delta, cycle: (delta,),
     ]
 
     # the last entry meets a span whose cycle was already checked, the first does not
