@@ -88,7 +88,7 @@ class SimplicialGraph:
         )
 
     @classmethod
-    def from_edges(cls, edges: Iterable[Sequence[str]], isolated: Iterable[str] = ()) -> "SimplicialGraph":
+    def from_edges(cls, edges: Iterable[Sequence[str]]) -> "SimplicialGraph":
         """Build a graph whose vertex order is first appearance in ``edges``."""
         order: dict[str, None] = {}
         pairs = []
@@ -100,7 +100,7 @@ class SimplicialGraph:
             except (TypeError, ValueError):  # not a pair, or an unhashable endpoint
                 raise GraphError(f"edge {pair!r} is not a vertex pair") from None
             pairs.append((u, v))
-        return cls([*order, *isolated], pairs)  # the constructor checks and merges names
+        return cls(list(order), pairs)  # the constructor checks the names
 
     def neighbors(self, v: str) -> tuple[str, ...]:
         try:

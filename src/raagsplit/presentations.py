@@ -4,15 +4,15 @@ A presentation stores relators as freely reduced words of (generator index,
 exponent) letters with exponents +-1.  Abelianization goes through an exact
 integer Smith normal form, so torsion is certified absent rather than sampled.
 A graph of groups is presented over the maximal tree that one union-find
-picks from its edges in order; a second union-find merges the generator
-copies along that tree.  Once each merged class carries one source-graph
-name and each name one class, generators are indexed by name, so tree edges
-leave no relator.
+picks from its edges in order.  Once every tree edge includes one name at
+both ends and each name's copies form one class along the tree, generators
+are indexed by name, so tree edges leave no relator.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import Iterable, NamedTuple
 
 from .blocks import cut_vertices
@@ -38,28 +38,6 @@ def raag_presentation(g: SimplicialGraph) -> Presentation:
     return Presentation(generators=g.vertices, relators=relators)
 
 
-class _UnionFind:
-    def __init__(self) -> None:
-        self.parent: dict = {}
-
-    def find(self, x):
-        self.parent.setdefault(x, x)
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b) -> bool:
-        """Join the classes of ``a`` and ``b``; False if they were already one."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[ra] = rb
-        return True
-
-
 def _span_edges(g: SimplicialGraph, members: Iterable[str]) -> list[tuple[str, str]]:
     """The edges g induces on ``members``, sorted, read off the sorted neighbour lists."""
     span = set(members)
@@ -73,22 +51,29 @@ def emit_presentation(gog: GraphOfGroups) -> Presentation:
     edge exactly when it joins two pieces that earlier edges left apart, so
     loops never are.  Any maximal tree presents the same group; on the
     tree-plus-loops bases that ``build_j0`` and ``collapse_to_j`` build, every
-    non-loop edge is a tree edge.  Copies merged along tree edges must carry
-    one source-graph name, and each name one class of copies; the symbol of a
-    copy is then its name, so a decomposition of A(g) presents itself on g's
-    own vertex names and tree edges leave no relator.  Every other edge
-    contributes its stable letter and a conjugation relator.
+    non-loop edge is a tree edge.  Each tree edge must include one name at
+    both ends, and each name's copies must form one class along the tree.  A
+    vertex holds at most one copy of a name and the tree edges form a forest,
+    so the classes of a name number its copies less the tree edges carrying
+    it.  The symbol of a copy is then its name, so a decomposition of A(g)
+    presents itself on g's own vertex names and tree edges leave no relator.
+    Every other edge contributes its stable letter and a conjugation relator.
     """
-    pieces = _UnionFind()
-    uf = _UnionFind()
+    root = {v.id: v.id for v in gog.vertices}  # a union-find with path halving
+    tree = []
     non_tree = []
     for e in gog.edges:
         a, b = e.ends
-        if pieces.union(a, b):
-            uf.union((a, e.inclusions[0]), (b, e.inclusions[1]))
-        else:
+        while root[a] != a:
+            root[a] = a = root[root[a]]
+        while root[b] != b:
+            root[b] = b = root[root[b]]
+        if a == b:
             non_tree.append(e)
-    if len({pieces.find(v.id) for v in gog.vertices}) != 1:
+        else:
+            root[a] = b
+            tree.append(e)
+    if sum(v == r for v, r in root.items()) != 1:
         raise GraphError("graph of groups has a disconnected base graph")
     copies = dict.fromkeys((v.id, x) for v in gog.vertices for x in v.group.generators())
     for e in gog.edges:
@@ -96,17 +81,16 @@ def emit_presentation(gog: GraphOfGroups) -> Presentation:
             if (vid, x) not in copies:
                 raise GraphError(f"edge {e.id} includes {x!r}, not a generator at {vid!r}")
 
-    class_name: dict = {}  # classes of copies in first-copy order
-    for copy in copies:
-        x = copy[1]
-        prior = class_name.setdefault(uf.find(copy), x)
-        if prior != x:
-            raise GraphError(f"merged generators disagree on a name: {prior!r} vs {x!r}")
-    index: dict[str, int] = {}
-    for x in class_name.values():
-        if x in index:
+    classes = Counter(x for _, x in copies)  # each name's copies, in first-copy order
+    for e in tree:
+        x, y = e.inclusions
+        if x != y:
+            raise GraphError(f"merged generators disagree on a name: {x!r} vs {y!r}")
+        classes[x] -= 1
+    for x, count in classes.items():
+        if count != 1:
             raise GraphError(f"generator name {x!r} is carried by two distinct symbols")
-        index[x] = len(index)
+    index = {x: i for i, x in enumerate(classes)}
 
     relators = [
         _commutator(index[a], index[b])

@@ -10,6 +10,7 @@ does.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from typing import Collection, NamedTuple, Optional, Sequence, Union
 
 from .blocks import _lowpoint_scan, cut_vertices, is_biconnected
@@ -117,19 +118,17 @@ def nonsplit_cover(g: SimplicialGraph) -> NonSplitCover:
     subgraph it spans; biconnectivity guarantees the path exists.  A path of
     one or two edges is read off g's neighbour sets: it is (u, w) when u ~ w,
     and otherwise (u, x, w) for the least common neighbour x other than v.
-    On small or dense graphs that is almost every path: the cover of a
-    biconnected seven-vertex graph is built about a quarter faster, and
-    those of K_30 and K_{2,150}, which make no search, about 30% and 15%
-    faster.  Every vertex of degree 2 lies inside a chain: a run of one or
-    more degree-2 vertices between two ends of other degree.  Its path is
-    forced: down the chain to one end, along the least shortest path
-    between the ends, and up the chain to its other neighbour.  That middle
-    path is found once per chain and direction, each cycle is built from
-    slices, and a graph that is one cycle needs no search and no neighbour
-    set.  Only a target three or more steps away is searched, from both ends
-    in g - v: the search from u keeps its ball for every later far neighbour
-    w of v, and a w outside it searches back until the two balls meet, so
-    the cost is the balls searched plus the size of the cover.
+    On small or dense graphs that is almost every path.  Every vertex of
+    degree 2 lies inside a chain: a run of one or more degree-2 vertices
+    between two ends of other degree.  Its path is forced: down the chain to
+    one end, along the least shortest path between the ends, and up the
+    chain to its other neighbour.  That middle path is found once per chain
+    and direction, each cycle is built from slices, and a graph that is one
+    cycle needs no search and no neighbour set.  Only a target three or more
+    steps away is searched, from both ends in g - v: the search from u keeps
+    its ball for every later far neighbour w of v, and a w outside it
+    searches back until the two balls meet, so the cost is the balls
+    searched plus the size of the cover.
     """
     if len(g.vertices) < 3 or not is_biconnected(g):
         raise GraphError("Hamiltonian covers exist for biconnected graphs on >= 3 vertices")
@@ -285,10 +284,13 @@ def cover_defects(g: SimplicialGraph, cover: NonSplitCover) -> list[str]:
     another start or in the other direction: it takes the same steps, so its
     entry costs one comparison.  The cost is O(n + m) plus the size of the
     cover, at C speed per name, and no subgraph is built per entry.  A
-    malformed entry is a defect of its own.
+    malformed entry is a defect of its own, and so are entries that are not
+    a mapping.
     """
     if len(g.vertices) < 3 or len(connected_components(g)) != 1:
         return ["graph is not connected with at least three vertices"]
+    if not isinstance(cover.entries, Mapping):
+        return ["cover entries are not a mapping of segments"]
     vertices = set(g.vertices)
     arcs = _arcs(g)
     # span value -> its set, its defect or None, and its last checked cycle written twice;

@@ -23,12 +23,14 @@ from raagsplit import (
     GoGVertex,
     GraphError,
     GraphOfGroups,
+    Presentation,
     RaagGroup,
     SimplicialGraph,
     block_tree,
     parse_graph,
 )
 from raagsplit.jsj import BLACK, MERGED, WHITE
+from raagsplit.presentations import _commutator, _span_edges
 
 settings.register_profile(
     "default", deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -305,6 +307,81 @@ def frozen_collapse_to_j(j0: GraphOfGroups) -> GraphOfGroups:
         else:
             edges.append(e)
     return GraphOfGroups(vertices=tuple(vertices), edges=tuple(edges), source=j0.source)
+
+
+class _FrozenUnionFind:
+    def __init__(self) -> None:
+        self.parent: dict = {}
+
+    def find(self, x):
+        self.parent.setdefault(x, x)
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a, b) -> bool:
+        """Join the classes of ``a`` and ``b``; False if they were already one."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[ra] = rb
+        return True
+
+
+def frozen_emit_presentation(gog: GraphOfGroups) -> Presentation:
+    """``presentations.emit_presentation`` as it was when a second union-find merged copies.
+
+    Kept verbatim, span and loop relators included, so the one-union-find
+    presentation can be compared with it on any graph of groups.
+    """
+    pieces = _FrozenUnionFind()
+    uf = _FrozenUnionFind()
+    non_tree = []
+    for e in gog.edges:
+        a, b = e.ends
+        if pieces.union(a, b):
+            uf.union((a, e.inclusions[0]), (b, e.inclusions[1]))
+        else:
+            non_tree.append(e)
+    if len({pieces.find(v.id) for v in gog.vertices}) != 1:
+        raise GraphError("graph of groups has a disconnected base graph")
+    copies = dict.fromkeys((v.id, x) for v in gog.vertices for x in v.group.generators())
+    for e in gog.edges:
+        for vid, x in zip(e.ends, e.inclusions):
+            if (vid, x) not in copies:
+                raise GraphError(f"edge {e.id} includes {x!r}, not a generator at {vid!r}")
+
+    class_name: dict = {}  # classes of copies in first-copy order
+    for copy in copies:
+        x = copy[1]
+        prior = class_name.setdefault(uf.find(copy), x)
+        if prior != x:
+            raise GraphError(f"merged generators disagree on a name: {prior!r} vs {x!r}")
+    index: dict[str, int] = {}
+    for x in class_name.values():
+        if x in index:
+            raise GraphError(f"generator name {x!r} is carried by two distinct symbols")
+        index[x] = len(index)
+
+    relators = [
+        _commutator(index[a], index[b])
+        for v in gog.vertices
+        if isinstance(v.group, RaagGroup)
+        for a, b in _span_edges(gog.source, v.group.vertices)
+    ]
+    for e in non_tree:
+        letter = e.stable_letter
+        if letter is None:
+            raise GraphError(f"non-tree edge {e.id} has no stable letter")
+        if letter in index:
+            raise GraphError(f"stable letter {letter!r} collides with a generator")
+        t = index[letter] = len(index)  # fresh, so nothing in the relator cancels
+        a, b = e.inclusions
+        relators.append(((t, 1), (index[a], 1), (t, -1), (index[b], -1)))
+    return Presentation(generators=tuple(index), relators=tuple(relators))
 
 
 def hand_built_gogs() -> dict[str, GraphOfGroups]:

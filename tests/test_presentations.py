@@ -26,7 +26,14 @@ from raagsplit import (
 from raagsplit.cli import labeled_graphs
 from raagsplit.jsj import CyclicGroup, GoGEdge, GoGVertex, GraphOfGroups, RaagGroup
 
-from conftest import graphs, induced_subgraph, scale_graph
+from conftest import (
+    frozen_emit_presentation,
+    graphs,
+    hand_built_gogs,
+    induced_subgraph,
+    oracle_is_connected,
+    scale_graph,
+)
 
 
 def windmill(k: int):
@@ -316,6 +323,28 @@ class TestEmitPresentation:
         assert p.relators == (((1, 1), (0, 1), (1, -1), (0, -1)),)
         assert abelianization(p) == (2, [])
 
+    def test_name_checks_quote_the_first_tree_edge_and_the_first_name(self):
+        """A disagreeing tree edge is the first in edge order, its names in end order; a name
+        on two classes is the first in first-copy order."""
+        disagree = self.gog_on_ab(
+            3,
+            self.edge(("w1", "w2"), ("b", "a"), eid="e0"),
+            self.edge(("w0", "w1"), ("a", "b"), eid="e1"),
+        )
+        with pytest.raises(GraphError, match="^merged generators disagree on a name: 'b' vs 'a'$"):
+            emit_presentation(disagree)
+        vertices = tuple(
+            GoGVertex(id=f"w{i}", color="white", group=RaagGroup(gens))
+            for i, gens in enumerate([("b", "a", "c"), ("a", "c"), ("b", "c")])
+        )
+        edges = (
+            self.edge(("w0", "w1"), ("c", "c"), eid="e0"),
+            self.edge(("w0", "w2"), ("c", "c"), eid="e1"),
+        )
+        gog = GraphOfGroups(vertices=vertices, edges=edges, source=parse_graph("a b\nb c"))
+        with pytest.raises(GraphError, match="^generator name 'b' is carried by two distinct symbols$"):
+            emit_presentation(gog)
+
     # sha256 of repr((generators, relators)) on scale_graph(family, 300, 1); J0 and J agree
     DIGESTS = {
         "cactus": "a95d23d62616b8ab33729fdc53efcce51ab8349b2dd21c87722b87c038a318f6",
@@ -331,6 +360,85 @@ class TestEmitPresentation:
             p = emit_presentation(gog)
             digest = hashlib.sha256(repr((p.generators, p.relators)).encode()).hexdigest()
             assert digest == self.DIGESTS[family]
+
+
+def random_gog(rng: random.Random) -> GraphOfGroups:
+    """A hand-built graph of groups on 1-4 vertices and 0-5 edges over the path a-b-c-d.
+
+    Inclusions mostly lie in their end's group and agree; a name outside the
+    path, a foreign inclusion, a missing or repeated stable letter and a
+    disconnected base each turn up now and then.
+    """
+    groups = []
+    for _ in range(rng.randint(1, 4)):
+        if rng.random() < 0.3:
+            groups.append(CyclicGroup(rng.choice("abcd")))
+        else:
+            names = rng.sample("abcd", rng.randint(1, 3)) + (["z"] if rng.random() < 0.05 else [])
+            groups.append(RaagGroup(tuple(names)))
+    vertices = tuple(GoGVertex(f"w{i}", "white", group) for i, group in enumerate(groups))
+    edges = []
+    for k in range(rng.randint(0, 5)):
+        ends = (rng.randrange(len(groups)), rng.randrange(len(groups)))
+        gens = [groups[end].generators() for end in ends]
+        x = rng.choice(gens[0])
+        y = x if x in gens[1] and rng.random() < 0.8 else rng.choice(gens[1])
+        if rng.random() < 0.05:
+            x = rng.choice("abcdq")
+        letter = rng.choice([None, "s", "t", "u", "a"])
+        edges.append(GoGEdge(f"e{k}", (f"w{ends[0]}", f"w{ends[1]}"), CyclicGroup(y), (x, y), letter))
+    return GraphOfGroups(vertices, tuple(edges), parse_graph("a b\nb c\nc d"))
+
+
+class TestFrozenEmitPresentation:
+    """``emit_presentation`` against its two-union-find copy in conftest.
+
+    Presentations and error messages are equal, except that the two name
+    checks may quote another edge or name than the frozen copy did.
+    """
+
+    NAME_CHECKS = ("merged generators disagree on a name", "is carried by two distinct symbols")
+
+    @classmethod
+    def outcome(cls, emit, gog):
+        try:
+            return emit(gog)
+        except GraphError as err:
+            message = str(err)
+            return next((check for check in cls.NAME_CHECKS if check in message), message)
+
+    @classmethod
+    def assert_same(cls, gog):
+        assert cls.outcome(emit_presentation, gog) == cls.outcome(frozen_emit_presentation, gog)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_j0_and_j_of_all_connected_graphs(self, n):
+        count = 0
+        for g in labeled_graphs(n):
+            if len(g.edges) >= n - 1 and oracle_is_connected(g):
+                j0 = build_j0(g)
+                self.assert_same(j0)
+                self.assert_same(collapse_to_j(j0))
+                count += 1
+        assert count == {3: 4, 4: 38, 5: 728, 6: 26704}[n]
+
+    @pytest.mark.parametrize("name", sorted(hand_built_gogs()))
+    def test_hand_built_gogs(self, name):
+        self.assert_same(hand_built_gogs()[name])
+
+    def test_seeded_random_gogs(self):
+        checks = ("disconnected", "includes", *self.NAME_CHECKS, "not in graph", "no stable", "collides")
+        rng = random.Random(19)
+        reached = set()
+        for _ in range(20_000):
+            gog = random_gog(rng)
+            self.assert_same(gog)
+            outcome = self.outcome(frozen_emit_presentation, gog)
+            if isinstance(outcome, Presentation):
+                reached.add("presented")
+            else:
+                reached.update(check for check in checks if check in outcome)
+        assert reached == {"presented", *checks}  # every outcome turns up
 
 
 class TestAbelianization:

@@ -376,6 +376,13 @@ class TestVerifyCover:
             "entries are not all keyed by segments of vertex names",
         ]
 
+    @pytest.mark.parametrize("entries", [None, 5, "abc", []], ids=["none", "int", "str", "list"])
+    def test_entries_not_a_mapping_are_a_defect(self, square, entries):
+        assert cover_defects(square, NonSplitCover(entries=entries)) == [
+            "cover entries are not a mapping of segments"
+        ]
+        assert not verify_cover(square, NonSplitCover(entries=entries))
+
 
 def induced_cover_defects(g: SimplicialGraph, cover):
     """``cover_defects`` as first written, kept as its reference: one induced subgraph per entry.
