@@ -297,42 +297,40 @@ def _is_hamiltonian_cycle(
     return arcs.issuperset(zip(seq, seq[1:] + seq[:1]))
 
 
-def _grow_cliques(nbr: list[int], counts: list[int], candidates: int, size: int) -> None:
-    """Count a clique of ``size`` and its extensions by ``candidates``; no closure, so no cycle."""
-    counts[size] += 1
-    while candidates:
-        low = candidates & -candidates
-        candidates ^= low
-        _grow_cliques(nbr, counts, nbr[low.bit_length() - 1] & candidates, size + 1)
+def _clique_counts(n: int, edges: Iterable[tuple[str, str]]) -> list[int]:
+    """``clique_counts`` on n vertices and sorted pairs u < v: Chiba and Nishizeki, SIAM J. Comput. 1985."""
+    later: dict[str, set[str]] = {}
+    for u, v in edges:
+        later.setdefault(u, set()).add(v)
+    counts = [1, n] if n else [1]
+    stack = [(common, 2) for common in later.values()]  # (names extending a clique, new size), none empty
+    while stack:
+        common, size = stack.pop()
+        if size == len(counts):
+            counts.append(0)
+        counts[size] += len(common)
+        stack += [(grown, size + 1) for w in common if w in later and (grown := common & later[w])]
+    return counts
 
 
 def clique_counts(g: SimplicialGraph) -> list[int]:
     """Number of complete induced subgraphs by size; entry 0 is the empty clique.
 
-    Counts every clique once by extending in increasing vertex order over
-    bitmask candidate sets.
+    Each clique is counted once, from its least name: time is bound by the cliques, memory by the edges.
 
     >>> clique_counts(SimplicialGraph("abc", [("a", "b"), ("a", "c"), ("b", "c")]))
     [1, 3, 3, 1]
     """
-    n = len(g.vertices)
-    order = sorted(g.vertices)
-    index = {v: i for i, v in enumerate(order)}
-    nbr = [0] * n
-    for u, v in g.edges:
-        i, j = index[u], index[v]
-        nbr[i] |= 1 << j
-        nbr[j] |= 1 << i
-    counts = [0] * (n + 1)
-    _grow_cliques(nbr, counts, (1 << n) - 1, 0)
-    while len(counts) > 1 and counts[-1] == 0:
-        counts.pop()
-    return counts
+    return _clique_counts(len(g.vertices), g.edges)
+
+
+def _euler_characteristic(n: int, edges: Iterable[tuple[str, str]]) -> int:
+    return sum(c if k % 2 == 0 else -c for k, c in enumerate(_clique_counts(n, edges)))
 
 
 def euler_characteristic(g: SimplicialGraph) -> int:
     """Alternating clique sum: the Euler characteristic of A(g)'s cube complex."""
-    return sum(c if k % 2 == 0 else -c for k, c in enumerate(clique_counts(g)))
+    return _euler_characteristic(len(g.vertices), g.edges)
 
 
 def two_edge_segments(g: SimplicialGraph) -> list[tuple[str, str, str]]:

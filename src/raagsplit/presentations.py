@@ -6,17 +6,18 @@ integer Smith normal form, so torsion is certified absent rather than sampled.
 A graph of groups is presented over the maximal tree that one union-find
 picks from its edges in order.  Once every tree edge includes one name at
 both ends and each name's copies form one class along the tree, generators
-are indexed by name, so tree edges leave no relator.
+are indexed by name, so tree edges leave no relator.  Span relators and the
+Euler check read each span's edges off one pass over the source's edges.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .blocks import cut_vertices
-from .graphs import GraphError, SimplicialGraph, euler_characteristic
+from .graphs import GraphError, SimplicialGraph, _euler_characteristic, euler_characteristic
 from .jsj import GraphOfGroups, RaagGroup
 
 Word = tuple[tuple[int, int], ...]
@@ -38,10 +39,20 @@ def raag_presentation(g: SimplicialGraph) -> Presentation:
     return Presentation(generators=g.vertices, relators=relators)
 
 
-def _span_edges(g: SimplicialGraph, members: Iterable[str]) -> list[tuple[str, str]]:
-    """The edges g induces on ``members``, sorted, read off the sorted neighbour lists."""
-    span = set(members)
-    return [(a, b) for a in sorted(span) for b in g.neighbors(a) if b > a and b in span]
+def _span_edges(g: SimplicialGraph, gog: GraphOfGroups) -> list[tuple[tuple[str, ...], list[tuple[str, str]]]]:
+    """Each RAAG vertex group's span and the sorted edges g induces on it, from one pass over g's edges."""
+    spans = [(v.group.vertices, []) for v in gog.vertices if isinstance(v.group, RaagGroup)]
+    spans_of: dict[str, set[int]] = {}
+    for i, (span, _) in enumerate(spans):
+        for x in span:
+            if x not in g:
+                raise GraphError(f"vertex {min(y for y in span if y not in g)!r} not in graph")
+            spans_of.setdefault(x, set()).add(i)
+    for a, b in g.edges:
+        if a in spans_of and b in spans_of:
+            for i in spans_of[a] & spans_of[b]:  # runs over the smaller set, so no span rescans a hub
+                spans[i][1].append((a, b))
+    return spans
 
 
 def emit_presentation(gog: GraphOfGroups) -> Presentation:
@@ -60,8 +71,7 @@ def emit_presentation(gog: GraphOfGroups) -> Presentation:
     Every other edge contributes its stable letter and a conjugation relator.
     """
     root = {v.id: v.id for v in gog.vertices}  # a union-find with path halving
-    tree = []
-    non_tree = []
+    tree, non_tree = [], []
     for e in gog.edges:
         a, b = e.ends
         while root[a] != a:
@@ -92,12 +102,7 @@ def emit_presentation(gog: GraphOfGroups) -> Presentation:
             raise GraphError(f"generator name {x!r} is carried by two distinct symbols")
     index = {x: i for i, x in enumerate(classes)}
 
-    relators = [
-        _commutator(index[a], index[b])
-        for v in gog.vertices
-        if isinstance(v.group, RaagGroup)
-        for a, b in _span_edges(gog.source, v.group.vertices)
-    ]
+    relators = [_commutator(index[a], index[b]) for _, edges in _span_edges(gog.source, gog) for a, b in edges]
     for e in non_tree:
         letter = e.stable_letter
         if letter is None:
@@ -124,9 +129,9 @@ def smith_normal_form(matrix: list[list[int]]) -> list[int]:
     [2, 4]
     """
     cols = len(matrix[0]) if matrix else 0
-    if any(len(row) != cols for row in matrix):
-        raise GraphError("matrix is not rectangular")
-    a = [[int(x) for x in row] for row in matrix]
+    if any(len(row) != cols or not all(isinstance(x, int) for x in row) for row in matrix):
+        raise GraphError("matrix is not rectangular or has an entry that is not an int")
+    a = [list(row) for row in matrix]
     diagonal: list[int] = []
     while True:
         nonzero = [(abs(x), i, j) for i, row in enumerate(a) for j, x in enumerate(row) if x]
@@ -164,6 +169,8 @@ def abelianization(p: Presentation) -> tuple[int, list[int]]:
     matrix = []
     for word in p.relators:
         exponents = dict.fromkeys((gen for gen, _ in word), 0)
+        if not all(0 <= gen < n for gen in exponents):
+            raise GraphError(f"relator {word!r} has a letter index outside range({n})")
         for gen, exp in word:
             exponents[gen] += exp
         if any(exponents.values()):
@@ -179,14 +186,9 @@ def check_euler(g: SimplicialGraph, gog: GraphOfGroups) -> bool:
     """Euler characteristic of g equals the vertex-group sum of the decomposition.
 
     Cyclic vertex groups and the edge groups, all infinite cyclic, contribute
-    zero.
+    zero.  χ(g) is counted on g's own edges, not on the spans'.
     """
-    total = sum(
-        euler_characteristic(SimplicialGraph(v.group.vertices, _span_edges(g, v.group.vertices)))
-        for v in gog.vertices
-        if isinstance(v.group, RaagGroup)
-    )
-    return euler_characteristic(g) == total
+    return euler_characteristic(g) == sum(_euler_characteristic(len(set(s)), e) for s, e in _span_edges(g, gog))
 
 
 def check_coverage(g: SimplicialGraph, gog: GraphOfGroups) -> bool:

@@ -30,7 +30,7 @@ from raagsplit import (
     parse_graph,
 )
 from raagsplit.jsj import BLACK, MERGED, WHITE
-from raagsplit.presentations import _commutator, _span_edges
+from raagsplit.presentations import _commutator
 
 settings.register_profile(
     "default", deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -63,6 +63,20 @@ def square():
 @pytest.fixture
 def path3():
     return parse_graph("a b\nb c")
+
+
+def windmill(k: int, hub: str = "h") -> SimplicialGraph:
+    """k triangles sharing ``hub``: "h" sorts after every other name, "A" before them."""
+    return parse_graph("".join(f"{hub} a{i}\n{hub} b{i}\na{i} b{i}\n" for i in range(k)))
+
+
+# one vertex in many blocks, or of high degree, named first or last
+HUB_GRAPHS = {
+    "windmill-hub-first": windmill(10, "A"),
+    "windmill-hub-last": windmill(10),
+    "star": parse_graph("".join(f"c l{i:02d}\n" for i in range(20))),
+    "k2-40": parse_graph("".join(f"{u} m{i:02d}\n" for u in "xy" for i in range(40))),
+}
 
 
 # ---------------------------------------------------------------- strategies
@@ -154,9 +168,9 @@ def oracle_clique_counts(g: SimplicialGraph):
             for sub in combinations(g.vertices, k)
             if all(frozenset(p) in edge_set for p in combinations(sub, 2))
         )
+        if not c:
+            break  # every k-subset of a larger clique is a clique, so there is none
         counts.append(c)
-    while len(counts) > 1 and counts[-1] == 0:
-        counts.pop()
     return counts
 
 
@@ -331,6 +345,12 @@ class _FrozenUnionFind:
         return True
 
 
+def _frozen_span_edges(g: SimplicialGraph, members) -> list[tuple[str, str]]:
+    """The edges g induces on ``members``, sorted, read off the sorted neighbour lists."""
+    span = set(members)
+    return [(a, b) for a in sorted(span) for b in g.neighbors(a) if b > a and b in span]
+
+
 def frozen_emit_presentation(gog: GraphOfGroups) -> Presentation:
     """``presentations.emit_presentation`` as it was when a second union-find merged copies.
 
@@ -370,7 +390,7 @@ def frozen_emit_presentation(gog: GraphOfGroups) -> Presentation:
         _commutator(index[a], index[b])
         for v in gog.vertices
         if isinstance(v.group, RaagGroup)
-        for a, b in _span_edges(gog.source, v.group.vertices)
+        for a, b in _frozen_span_edges(gog.source, v.group.vertices)
     ]
     for e in non_tree:
         letter = e.stable_letter

@@ -1,8 +1,9 @@
 import string
+import tracemalloc
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from raagsplit import (
@@ -20,6 +21,7 @@ from raagsplit.cli import main
 from raagsplit.graphs import _arcs, _is_hamiltonian_cycle, _least_paths
 
 from conftest import (
+    HUB_GRAPHS,
     exhaustive_bfs_parents,
     graphs,
     induced_subgraph,
@@ -327,8 +329,25 @@ class TestCliqueCounts:
         ]
 
     @given(graphs(max_vertices=7))
+    @example(HUB_GRAPHS["windmill-hub-first"])
+    @example(HUB_GRAPHS["windmill-hub-last"])
+    @example(HUB_GRAPHS["star"])
+    @example(HUB_GRAPHS["k2-40"])
     def test_matches_subset_enumeration(self, g):
         assert clique_counts(g) == oracle_clique_counts(g)
+
+    def test_memory_follows_the_edges_on_paths(self):
+        # one n-bit mask per vertex would take n^2 / 8 bytes, four times as much on twice the path
+        peaks = []
+        for n in (10_000, 20_000):
+            g = SimplicialGraph.from_edges((f"v{i}", f"v{i + 1}") for i in range(n - 1))
+            tracemalloc.start()
+            try:
+                assert clique_counts(g) == [1, n, n - 1]
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 3 * peaks[0]
 
 
 class TestEulerCharacteristic:

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -27,18 +28,15 @@ from raagsplit.cli import labeled_graphs
 from raagsplit.jsj import CyclicGroup, GoGEdge, GoGVertex, GraphOfGroups, RaagGroup
 
 from conftest import (
+    HUB_GRAPHS,
     frozen_emit_presentation,
     graphs,
     hand_built_gogs,
     induced_subgraph,
     oracle_is_connected,
     scale_graph,
+    windmill,
 )
-
-
-def windmill(k: int):
-    """k triangles sharing the hub h."""
-    return parse_graph("".join(f"h a{i}\nh b{i}\na{i} b{i}\n" for i in range(k)))
 
 
 # ------------------------------------------------------------ relator algebra
@@ -117,8 +115,9 @@ class TestSmithNormalForm:
         assert smith_normal_form([]) == []
 
     def test_ragged_rejected(self):
-        with pytest.raises(GraphError):
-            smith_normal_form([[1, 2], [3]])
+        for matrix in ([[1, 2], [3]], [[2.5, 0], [0, 3]], [["7"]]):
+            with pytest.raises(GraphError, match="not rectangular or has an entry that is not an int"):
+                smith_normal_form(matrix)
 
     @staticmethod
     def random_matrices(rng):
@@ -426,6 +425,12 @@ class TestFrozenEmitPresentation:
     def test_hand_built_gogs(self, name):
         self.assert_same(hand_built_gogs()[name])
 
+    @pytest.mark.parametrize("name", sorted(HUB_GRAPHS))
+    def test_hub_graphs(self, name):
+        g = HUB_GRAPHS[name]
+        self.assert_same(build_j0(g))
+        self.assert_same(jsj(g))
+
     def test_seeded_random_gogs(self):
         checks = ("disconnected", "includes", *self.NAME_CHECKS, "not in graph", "no stable", "collides")
         rng = random.Random(19)
@@ -456,6 +461,12 @@ class TestAbelianization:
     def test_no_relators(self):
         assert abelianization(Presentation(generators=("a", "b"), relators=())) == (2, [])
 
+    def test_letter_index_outside_generators_rejected(self):
+        # -1 would wrap to the last generator, 3 would overrun the matrix row
+        for generators, word in ((("a", "b"), ((-1, 1),)), (("a",), ((3, 1),))):
+            with pytest.raises(GraphError, match=re.escape(f"relator {word!r} has a letter index outside")):
+                abelianization(Presentation(generators, (word,)))
+
 
 class TestChecks:
     def test_euler_fixtures(self, two_triangles, star, square):
@@ -475,7 +486,17 @@ class TestChecks:
     def test_euler_matches_induced_subgraphs_on_any_spans(self, g, data):
         # spans may overlap in edges, unlike blocks, so an edge can belong to several
         subsets = st.lists(st.sampled_from(g.vertices), min_size=1, unique=True)
-        spans = data.draw(st.lists(subsets, min_size=1, max_size=4))
+        self.assert_euler_matches_induced_subgraphs(g, data.draw(st.lists(subsets, min_size=1, max_size=4)))
+
+    @pytest.mark.parametrize("name", sorted(HUB_GRAPHS))
+    def test_euler_matches_induced_subgraphs_on_hub_graphs(self, name):
+        g = HUB_GRAPHS[name]
+        assert check_euler(g, jsj(g)) and check_euler(g, build_j0(g))
+        blocks = [v.group.vertices for v in build_j0(g).vertices if isinstance(v.group, RaagGroup)]
+        self.assert_euler_matches_induced_subgraphs(g, blocks + [g.vertices, g.vertices[::2]])
+
+    @staticmethod
+    def assert_euler_matches_induced_subgraphs(g, spans):
         vertices = tuple(
             GoGVertex(id=f"w{i}", color="white", group=RaagGroup(tuple(span)))
             for i, span in enumerate(spans)
