@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
-"""Exhaustive sweep: splitting verdict vs the removal-definition oracle.
+"""Exhaustive sweep: biconnectivity vs the removal-definition oracle.
 
 Enumerates every labeled graph on 3..max_n vertices, keeps the connected
-ones, and confirms that the z-splitting verdict is exactly the failure of
-biconnectivity recomputed from scratch.  Prints one census row per n.  The
-rows come from ``raagsplit.cli.census_rows``, the same cross-check that
-``raag census`` runs, so a disagreement raises its ``RuntimeError``.
+ones, and confirms that the library's biconnectivity verdict is the one
+recomputed from scratch; the z-splitting count is the connected graphs that
+are not biconnected, which is the paper's criterion.  Prints one census row
+per n.  The rows come from ``raagsplit.cli.census_rows``, the same
+cross-check that ``raag census`` runs, so a disagreement raises its
+``RuntimeError``.  ``splits_over_z`` itself is swept against the oracle by
+acceptance criterion 3 in ``tests/test_acceptance.py``.
 
 Usage: verdict_sweep.py [max_n]   (default 6)
 """

@@ -1,10 +1,9 @@
 """Finite simplicial graphs: parsing, components, cliques and two-edge segments.
 
-The private path search and cycle check behind the Hamiltonian cover live
-here too.  Vertices are identified by their names (tokens over
-``[A-Za-z0-9_]``) and all tie-breaking is lexicographic over names, so every
-operation here is deterministic and byte-reproducible.  Graphs are immutable
-after construction and safe to share between threads.
+Vertices are identified by their names (tokens over ``[A-Za-z0-9_]``) and
+all tie-breaking is lexicographic over names, so every operation here is
+deterministic and byte-reproducible.  Graphs are immutable after
+construction and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from itertools import combinations
-from typing import AbstractSet, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Sequence
 
 
 class GraphError(ValueError):
@@ -187,114 +186,6 @@ def connected_components(g: SimplicialGraph) -> list[tuple[str, ...]]:
                     queue.append(y)
         comps.append(tuple(sorted(comp)))
     return comps
-
-
-def _component_avoiding(g: SimplicialGraph, start: str, avoid: str) -> set[str]:
-    """The vertices of g minus ``avoid`` that ``start`` reaches."""
-    seen = {start}
-    adj = g._adj
-    queue = deque([start])
-    while queue:
-        for y in adj[queue.popleft()]:
-            if y != avoid and y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return seen
-
-
-def _least_paths(
-    g: SimplicialGraph, start: str, avoid: str, targets: Sequence[str]
-) -> Iterator[Optional[list[str]]]:
-    """Per target in order: its least shortest path from ``start`` in g minus ``avoid``, or None.
-
-    The forward search expands neighbours in lexicographic order and sets a
-    parent only when its vertex is first found, so a parent chain spells the
-    lexicographically least shortest path and each level, in queue order, is
-    sorted by those paths.  It grows a whole level at a time and its ball is
-    kept for every later target.  A target outside it grows a backward search,
-    also a level at a time, and each step expands the side with the smaller
-    frontier.  Each backward level is sorted before it expands, so a backward
-    link is the least neighbour one step nearer the target.  The path runs
-    through the first forward-level vertex, in queue order, that the backward
-    side reached; the last target stops at the first such vertex found.
-    No target may be ``avoid``.
-    """
-    adj = g._adj
-    # avoid counts as found on both sides, so neither search enters it
-    parents: dict[str, Optional[str]] = {start: None, avoid: None}
-    level = [start]
-    last = len(targets) - 1
-    for t, w in enumerate(targets):
-        links: dict[str, Optional[str]] = {w: None, avoid: None}
-        back = [w]
-        meet = w if w in parents else None
-        while meet is None and level and back:
-            nb = len(back)
-            while len(level) <= nb:
-                new = []
-                for x in level:
-                    for y in adj[x]:
-                        if y not in parents:
-                            parents[y] = x
-                            new.append(y)
-                            if y in links and meet is None:
-                                meet = y
-                                if t == last:
-                                    break  # no later target reuses this ball
-                    else:
-                        continue
-                    break  # the break above ends the level too
-                level = new
-                if meet is not None or not new:
-                    break
-            else:  # the backward frontier is the smaller one
-                new = []
-                for x in sorted(back):
-                    for y in adj[x]:
-                        if y not in links:
-                            links[y] = x
-                            new.append(y)
-                            if y in parents and meet is None:
-                                meet = y
-                back = new
-                if meet is not None:
-                    meet = next(x for x in level if x in links)
-        if meet is None:
-            yield None
-            continue
-        path = []
-        x = meet
-        while x is not None:
-            path.append(x)
-            x = parents[x]
-        path.reverse()
-        x = links[meet]
-        while x is not None:
-            path.append(x)
-            x = links[x]
-        yield path
-
-
-def _arcs(g: SimplicialGraph) -> set[tuple[str, str]]:
-    """Both orientations of every edge of g: the steps a cycle in g may take."""
-    arcs = set(g.edges)
-    arcs.update((b, a) for a, b in g.edges)
-    return arcs
-
-
-def _is_hamiltonian_cycle(
-    arcs: set[tuple[str, str]], members: AbstractSet[str], cycle: Sequence[str]
-) -> bool:
-    """True iff ``cycle`` visits each of ``members`` exactly once along ``arcs``.
-
-    ``arcs`` holds both orientations of every edge of the host graph, so the
-    cycle is checked against the subgraph the host induces on ``members``
-    without building it, and its steps are looked up in one set operation.
-    """
-    seq = list(cycle)
-    if len(seq) < 3 or len(seq) != len(members) or set(seq) != members:
-        return False
-    return arcs.issuperset(zip(seq, seq[1:] + seq[:1]))
 
 
 def _clique_counts(n: int, edges: Iterable[tuple[str, str]]) -> list[int]:

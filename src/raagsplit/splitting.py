@@ -5,25 +5,18 @@ or more vertices A(g) splits over Z iff g fails to be biconnected.  Both
 verdicts come with machine-checkable witnesses: an amalgam decomposition of the
 defining graph over a single shared vertex when a splitting exists, and a cover
 of the two-edge segments by induced subgraphs with Hamiltonian cycles when none
-does.
+does.  The searches behind both witnesses and the cycle check behind the
+cover's verifier live here too.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Mapping
-from typing import Collection, NamedTuple, Optional, Sequence, Union
+from typing import AbstractSet, Collection, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .blocks import _lowpoint_scan, cut_vertices, is_biconnected
-from .graphs import (
-    GraphError,
-    SimplicialGraph,
-    _arcs,
-    _component_avoiding,
-    _is_hamiltonian_cycle,
-    _least_paths,
-    connected_components,
-    two_edge_segments,
-)
+from .graphs import GraphError, SimplicialGraph, connected_components, two_edge_segments
 
 Z_SPLIT_YES = "yes"
 Z_SPLIT_NO = "no"
@@ -73,10 +66,12 @@ class SplitReport(NamedTuple):
 def z_split_witness(g: SimplicialGraph) -> ZSplitWitness:
     """Amalgam witness for a non-biconnected graph on three or more vertices.
 
-    Cut-vertex case: split off the least component of g minus the least cut
-    vertex.  Disconnected case without cut vertices: pair the least component
-    with the least outside vertex; if the outside is that single vertex the
-    roles swap so both sides stay proper.
+    One rule, from one search: a vertex v and a component C of g minus v,
+    with sides C + v and the rest.  With cut vertices, v is the least of
+    them and C is the component of the least other vertex.  Without, C is
+    the component of the least vertex and v the least vertex outside it; if
+    that is the only vertex outside, C is it alone and v the least vertex,
+    so both sides stay proper.
     """
     if len(g.vertices) < 3:
         raise GraphError("amalgam witnesses need at least three vertices")
@@ -90,24 +85,29 @@ def _z_split_witness(g: SimplicialGraph, cuts: Collection[str]) -> ZSplitWitness
         v = min(cuts)
         # the component of the least vertex of g - v is the least component of g - v
         comp = _component_avoiding(g, min(allv - {v}), v)
-        side1 = tuple(sorted(comp | {v}))
-        side2 = tuple(sorted(allv - comp))
-        return ZSplitWitness(side1=side1, side2=side2, vertex=v)
-    comps = connected_components(g)
-    if len(comps) == 1:
-        raise GraphError("graph is biconnected; no Z-splitting exists")
-    first = comps[0]
-    outside = sorted(allv - set(first))
-    if len(outside) == 1:
-        # complement is a single vertex; swap sides to keep both proper
-        v = first[0]
-        side1 = tuple(sorted(set(outside) | {v}))
-        side2 = first
-        return ZSplitWitness(side1=side1, side2=side2, vertex=v)
-    v = outside[0]
-    side1 = tuple(sorted(set(first) | {v}))
-    side2 = tuple(outside)
-    return ZSplitWitness(side1=side1, side2=side2, vertex=v)
+    else:
+        comp = _component_avoiding(g, min(allv), None)
+        outside = allv - comp
+        if not outside:
+            raise GraphError("graph is biconnected; no Z-splitting exists")
+        if len(outside) == 1:  # the lone outside vertex is the component, so both sides stay proper
+            comp, v = outside, min(allv)
+        else:
+            v = min(outside)
+    return ZSplitWitness(side1=tuple(sorted(comp | {v})), side2=tuple(sorted(allv - comp)), vertex=v)
+
+
+def _component_avoiding(g: SimplicialGraph, start: str, avoid: Optional[str]) -> set[str]:
+    """The vertices of g minus ``avoid`` that ``start`` reaches."""
+    seen = {start}
+    adj = g._adj
+    queue = deque([start])
+    while queue:
+        for y in adj[queue.popleft()]:
+            if y != avoid and y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return seen
 
 
 def nonsplit_cover(g: SimplicialGraph) -> NonSplitCover:
@@ -191,6 +191,79 @@ def _near_paths(
         common.discard(avoid)
         out.append((start, min(common), w) if common else None)
     return out
+
+
+def _least_paths(
+    g: SimplicialGraph, start: str, avoid: str, targets: Sequence[str]
+) -> Iterator[Optional[list[str]]]:
+    """Per target in order: its least shortest path from ``start`` in g minus ``avoid``, or None.
+
+    The forward search expands neighbours in lexicographic order and sets a
+    parent only when its vertex is first found, so a parent chain spells the
+    lexicographically least shortest path and each level, in queue order, is
+    sorted by those paths.  It grows a whole level at a time and its ball is
+    kept for every later target.  A target outside it grows a backward search,
+    also a level at a time, and each step expands the side with the smaller
+    frontier.  Each backward level is sorted before it expands, so a backward
+    link is the least neighbour one step nearer the target.  The path runs
+    through the first forward-level vertex, in queue order, that the backward
+    side reached; the last target stops at the first such vertex found.
+    No target may be ``avoid``.
+    """
+    adj = g._adj
+    # avoid counts as found on both sides, so neither search enters it
+    parents: dict[str, Optional[str]] = {start: None, avoid: None}
+    level = [start]
+    last = len(targets) - 1
+    for t, w in enumerate(targets):
+        links: dict[str, Optional[str]] = {w: None, avoid: None}
+        back = [w]
+        meet = w if w in parents else None
+        while meet is None and level and back:
+            nb = len(back)
+            while len(level) <= nb:
+                new = []
+                for x in level:
+                    for y in adj[x]:
+                        if y not in parents:
+                            parents[y] = x
+                            new.append(y)
+                            if y in links and meet is None:
+                                meet = y
+                                if t == last:
+                                    break  # no later target reuses this ball
+                    else:
+                        continue
+                    break  # the break above ends the level too
+                level = new
+                if meet is not None or not new:
+                    break
+            else:  # the backward frontier is the smaller one
+                new = []
+                for x in sorted(back):
+                    for y in adj[x]:
+                        if y not in links:
+                            links[y] = x
+                            new.append(y)
+                            if y in parents and meet is None:
+                                meet = y
+                back = new
+                if meet is not None:
+                    meet = next(x for x in level if x in links)
+        if meet is None:
+            yield None
+            continue
+        path = []
+        x = meet
+        while x is not None:
+            path.append(x)
+            x = parents[x]
+        path.reverse()
+        x = links[meet]
+        while x is not None:
+            path.append(x)
+            x = links[x]
+        yield path
 
 
 def _walk(adj: dict[str, tuple[str, ...]], v: str, x: str) -> list[str]:
@@ -345,6 +418,28 @@ def cover_defects(g: SimplicialGraph, cover: NonSplitCover) -> list[str]:
         if flaw is not None:
             defects.append(f"entry {seg}: {flaw}")
     return defects
+
+
+def _arcs(g: SimplicialGraph) -> set[tuple[str, str]]:
+    """Both orientations of every edge of g: the steps a cycle in g may take."""
+    arcs = set(g.edges)
+    arcs.update((b, a) for a, b in g.edges)
+    return arcs
+
+
+def _is_hamiltonian_cycle(
+    arcs: set[tuple[str, str]], members: AbstractSet[str], cycle: Sequence[str]
+) -> bool:
+    """True iff ``cycle`` visits each of ``members`` exactly once along ``arcs``.
+
+    ``arcs`` holds both orientations of every edge of the host graph, so the
+    cycle is checked against the subgraph the host induces on ``members``
+    without building it, and its steps are looked up in one set operation.
+    """
+    seq = list(cycle)
+    if len(seq) < 3 or len(seq) != len(members) or set(seq) != members:
+        return False
+    return arcs.issuperset(zip(seq, seq[1:] + seq[:1]))
 
 
 def verify_cover(g: SimplicialGraph, cover: NonSplitCover) -> bool:

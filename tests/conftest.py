@@ -26,11 +26,14 @@ from raagsplit import (
     Presentation,
     RaagGroup,
     SimplicialGraph,
+    ZSplitWitness,
     block_tree,
+    connected_components,
     parse_graph,
 )
 from raagsplit.jsj import BLACK, MERGED, WHITE
 from raagsplit.presentations import _commutator
+from raagsplit.splitting import _component_avoiding
 
 settings.register_profile(
     "default", deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -402,6 +405,37 @@ def frozen_emit_presentation(gog: GraphOfGroups) -> Presentation:
         a, b = e.inclusions
         relators.append(((t, 1), (index[a], 1), (t, -1), (index[b], -1)))
     return Presentation(generators=tuple(index), relators=tuple(relators))
+
+
+def frozen_z_split_witness(g: SimplicialGraph, cuts) -> ZSplitWitness:
+    """``splitting._z_split_witness`` as it was before its three branches became one rule.
+
+    Kept verbatim, with its second traversal for graphs without cut vertices,
+    so the one-search rule can be compared witness for witness.
+    """
+    allv = set(g.vertices)
+    if cuts:
+        v = min(cuts)
+        # the component of the least vertex of g - v is the least component of g - v
+        comp = _component_avoiding(g, min(allv - {v}), v)
+        side1 = tuple(sorted(comp | {v}))
+        side2 = tuple(sorted(allv - comp))
+        return ZSplitWitness(side1=side1, side2=side2, vertex=v)
+    comps = connected_components(g)
+    if len(comps) == 1:
+        raise GraphError("graph is biconnected; no Z-splitting exists")
+    first = comps[0]
+    outside = sorted(allv - set(first))
+    if len(outside) == 1:
+        # complement is a single vertex; swap sides to keep both proper
+        v = first[0]
+        side1 = tuple(sorted(set(outside) | {v}))
+        side2 = first
+        return ZSplitWitness(side1=side1, side2=side2, vertex=v)
+    v = outside[0]
+    side1 = tuple(sorted(set(first) | {v}))
+    side2 = tuple(outside)
+    return ZSplitWitness(side1=side1, side2=side2, vertex=v)
 
 
 def hand_built_gogs() -> dict[str, GraphOfGroups]:

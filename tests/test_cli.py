@@ -225,6 +225,14 @@ class TestCensus:
             }
         ]
 
+    def test_default_range_digest(self, capsys):
+        # n = 3..6, pinned while the counts still came from each graph's full splitting verdict
+        code, out, _ = run(capsys, ["census"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "53fffab35beee9ef229187f2da003bad23fdd5f1eadd29db35a18cca96700c27"
+        )
+
     def test_range_error_exit_5(self, capsys):
         code, _, err = run(capsys, ["census", "--n", "2"])
         assert code == 5 and "census" in err
@@ -262,7 +270,7 @@ class TestCensus:
         assert rows[0]["splits_over_Z"] == 28
 
     def test_two_lowpoint_scans_per_connected_graph(self, monkeypatch):
-        # one in splits_over_z, one in jsj; biconnectivity is read off the verdict
+        # one in is_biconnected, one in jsj; the splitting count is connected less biconnected
         import raagsplit.blocks
         import raagsplit.splitting
         from raagsplit.cli import census_rows, labeled_graphs
@@ -336,6 +344,24 @@ class TestUnreadableInput:
             assert run(capsys, [command, "-"], stdin=text, monkeypatch=monkeypatch) == from_file
 
 
+class TestClosedPipe:
+    def test_reader_closing_stdout_exits_141_quietly(self, tmp_path):
+        # J of a 10^4-vertex path is far more than a pipe holds, so the write fails once the
+        # reader is gone; a shell reports a process killed by SIGPIPE as 141
+        path = tmp_path / "path.txt"
+        path.write_text("".join(f"v{i} v{i + 1}\n" for i in range(9999)))
+        code = "import sys; sys.path.insert(0, sys.argv.pop(1)); from raagsplit.cli import entry; entry()"
+        with subprocess.Popen(
+            [sys.executable, "-S", "-c", code, str(SRC), "jsj", str(path)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        ) as proc:
+            assert len(proc.stdout.read(100)) == 100
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert (proc.returncode, err) == (141, b"")
+
+
 class TestExportDot:
     def test_plain_graph(self, capsys, monkeypatch):
         code, out, _ = run(capsys, ["export-dot", "-"], stdin="a b\n", monkeypatch=monkeypatch)
@@ -365,7 +391,7 @@ class TestExportDot:
 
 
 class TestGoldenAtScale:
-    """Pinned output bytes on seeded 300-vertex graphs.
+    """Pinned output bytes on seeded 300-vertex graphs and two cut-free disconnected ones.
 
     The J0 and J digests, on a path, a random tree, a K4 chain and a cactus
     whose blocks hold up to four cut vertices, fix the ``e<i>`` numbering
@@ -431,6 +457,27 @@ class TestGoldenAtScale:
     @pytest.mark.parametrize("family, cmd", sorted(AMALGAM_DIGESTS))
     def test_amalgam_digest(self, capsys, tmp_path, family, cmd):
         assert self.digest(capsys, tmp_path, family, cmd) == self.AMALGAM_DIGESTS[(family, cmd)]
+
+    # disconnected without cut vertices, on 10^3 vertices: the two amalgam rules that no
+    # seeded family reaches, several vertices outside the least component and one alone
+    CUT_FREE = {
+        "two-cycles": "".join(f"{c}{i} {c}{(i + 1) % 500}\n" for c in "ab" for i in range(500)),
+        "cycle-and-vertex": "".join(f"v{i} v{(i + 1) % 1000}\n" for i in range(1000)) + "z\n",
+    }
+    CUT_FREE_DIGESTS = {
+        ("two-cycles", "split"): "5035d03ccf9359511a9803d456037b985fc777d6837b1d4a081d7497bb95f405",
+        ("two-cycles", "witness"): "f933476d7237b0354f19c75109f62e845a2177e6d02ee1a6e3c79c9515ee9250",
+        ("cycle-and-vertex", "split"): "24bca4e1ffb70d3fd3f47de2e236b2009a9181e8d0a3e139562dbb81fa83027e",
+        ("cycle-and-vertex", "witness"): "97cc9624ce65e20b5e9b4f85bfe77956860766fea135541ffb9aed158a6ea108",
+    }
+
+    @pytest.mark.parametrize("family, cmd", sorted(CUT_FREE_DIGESTS))
+    def test_cut_free_amalgam_digest(self, capsys, tmp_path, family, cmd):
+        path = tmp_path / f"{family}.txt"
+        path.write_text(self.CUT_FREE[family])
+        assert main([cmd, str(path)]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == self.CUT_FREE_DIGESTS[(family, cmd)]
 
     @staticmethod
     def digest(capsys, tmp_path, family, cmd, *options):
@@ -636,6 +683,8 @@ class TestImportSet:
             ("jsj FILE --format=dot", [*CORE, "raagsplit.serialize"]),
             ("export-dot FILE --stage=j", [*CORE, "raagsplit.serialize"]),
             ("check FILE", [*CORE, "raagsplit.presentations"]),
+            # the census counts splittings as connected less biconnected, so builds no witness
+            ("census --n 3", [*CORE, "json"]),
         ],
     )
     def test_modules_loaded(self, tmp_path, argv, loaded):

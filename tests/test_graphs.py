@@ -18,7 +18,7 @@ from raagsplit import (
 )
 
 from raagsplit.cli import main
-from raagsplit.graphs import _arcs, _is_hamiltonian_cycle, _least_paths
+from raagsplit.splitting import _arcs, _is_hamiltonian_cycle, _least_paths
 
 from conftest import (
     HUB_GRAPHS,

@@ -14,6 +14,7 @@ from raagsplit import (
     amalgam_defects,
     connected_components,
     cover_defects,
+    cut_vertices,
     is_biconnected,
     nonsplit_cover,
     parse_graph,
@@ -23,10 +24,11 @@ from raagsplit import (
     z_split_witness,
 )
 from raagsplit.cli import labeled_graphs, oracle_biconnected
-from raagsplit.graphs import _least_paths
+from raagsplit.splitting import _least_paths
 
 from conftest import (
     exhaustive_bfs_parents,
+    frozen_z_split_witness,
     graphs,
     induced_subgraph,
     oracle_hamiltonian_accepts,
@@ -157,6 +159,37 @@ class TestZSplitWitness:
         if is_biconnected(g):
             return
         assert amalgam_invariants_hold(g, z_split_witness(g))
+
+    @staticmethod
+    def same_as_frozen(g):
+        """The witness or error message of the one-search rule equals the frozen three-branch one's."""
+        outcomes = []
+        for build in (z_split_witness, lambda g: frozen_z_split_witness(g, cut_vertices(g))):
+            try:
+                outcomes.append(build(g))
+            except GraphError as exc:
+                outcomes.append(str(exc))
+        return outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_matches_the_frozen_rule_on_every_labeled_graph(self, n):
+        # disconnected graphs too: they reach both branches without cut vertices
+        for g in labeled_graphs(n):
+            assert self.same_as_frozen(g), g
+
+    def test_matches_the_frozen_rule_on_random_sparse_graphs(self):
+        rng = random.Random(21)
+        lone = several = 0
+        for _ in range(2000):
+            n = rng.randint(3, 40)
+            names = [f"v{i:02d}" for i in rng.sample(range(100), n)]
+            g = SimplicialGraph(names, [rng.sample(names, 2) for _ in range(rng.randint(0, n + 5))])
+            assert self.same_as_frozen(g), g
+            if not cut_vertices(g) and len(connected_components(g)) > 1:
+                outside = len(g.vertices) - len(connected_components(g)[0])
+                lone += outside == 1
+                several += outside > 1
+        assert lone and several
 
 
 class TestNonSplitCover:
