@@ -10,9 +10,7 @@ Submodules load on first use (PEP 562): ``raagsplit.splits_over_z`` imports
 none of them.
 """
 
-import sys
 from importlib import import_module
-from types import ModuleType
 
 # each submodule and the public names it defines
 _PUBLIC = {
@@ -21,7 +19,7 @@ _PUBLIC = {
         "GraphError", "ParseError", "SimplicialGraph", "clique_counts", "connected_components",
         "euler_characteristic", "parse_graph", "two_edge_segments",
     ),
-    "jsj": (
+    "decompositions": (
         "CyclicGroup", "GoGEdge", "GoGVertex", "GraphOfGroups", "RaagGroup", "build_j0",
         "collapse_to_j", "is_reduced", "jsj",
     ),
@@ -55,14 +53,3 @@ def __getattr__(name: str):
 def __dir__() -> list[str]:
     return sorted({*globals(), *__all__})
 
-
-class _Package(ModuleType):
-    def __setattr__(self, name: str, value) -> None:
-        # the import system binds each loaded submodule on its parent; the public
-        # function ``jsj`` keeps the name of the module ``raagsplit.jsj``
-        if name in _HOME and isinstance(value, ModuleType):
-            return
-        super().__setattr__(name, value)
-
-
-sys.modules[__name__].__class__ = _Package

@@ -1,21 +1,23 @@
 """Command-line front end.
 
 Subcommands: split, jsj, witness, check, census, export-dot.  Input is the
-edge-list format (or graph6 with --g6) from a file argument or stdin.  Machine
-payload goes to stdout, diagnostics to stderr.
+edge-list format (or graph6 with --g6) from a file argument or stdin, as UTF-8
+with an optional byte-order mark.  Machine payload goes to stdout, diagnostics
+to stderr.  ``export-dot --stage j|j0`` is ``jsj --format dot``.
 
-Exit codes: 0 success, 2 parse error or input not readable as UTF-8 text
-(missing file, directory, invalid bytes), 3 empty graph, 4 decomposition
-precondition unmet (disconnected or fewer than three vertices; ``check``
-works at any size otherwise), 5 census range error, 1 internal check
-failure, 141 stdout closed by its reader (128 + SIGPIPE, as a shell
-reports).  ``witness`` re-verifies through the library's ``amalgam_defects``
-and ``cover_defects``.
+Exit codes: 0 success, 2 usage or parse error, or input not readable as UTF-8
+text (missing file, directory, invalid bytes, closed stdin), 3 empty graph,
+4 decomposition precondition unmet (disconnected or fewer than three vertices;
+``check`` works at any size otherwise), 5 census range error, 1 internal check
+failure, 141 stdout closed by its reader (128 + SIGPIPE, as a shell reports).
+``witness`` re-verifies through the library's ``amalgam_defects`` and
+``cover_defects``.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
 import os
 import sys
@@ -26,7 +28,6 @@ if TYPE_CHECKING:
     from typing import Iterable, Iterator, Optional
 
     from .graphs import SimplicialGraph
-    from .jsj import GraphOfGroups
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -46,10 +47,13 @@ class _Unreadable(Exception):
 def _read_text(path: str) -> str:
     try:
         if path == "-":
+            if sys.stdin is None:  # the process started with descriptor 0 closed
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
             # the bytes, so stdin decodes as strict UTF-8 whatever the locale; every reader
-            # splits lines with str.splitlines, so CRLF and LF read alike untranslated
-            return sys.stdin.buffer.read().decode("utf-8")
-        with open(path, "r", encoding="utf-8") as handle:
+            # splits lines with str.splitlines, so CRLF and LF read alike untranslated.
+            # utf-8-sig drops a leading byte-order mark, as some editors write one
+            return sys.stdin.buffer.read().decode("utf-8-sig")
+        with open(path, "r", encoding="utf-8-sig") as handle:
             return handle.read()
     except (OSError, UnicodeDecodeError) as exc:  # strerror, unlike str(exc), omits the path
         raise _Unreadable(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
@@ -76,12 +80,6 @@ def _emit(payload: str) -> None:
         sys.stdout.write("\n")
 
 
-def _emit_json(obj) -> None:
-    import json
-
-    _emit(json.dumps(obj))
-
-
 def _is_empty(g: SimplicialGraph) -> bool:
     """True, after saying so on stderr, when g has no vertex: the caller then exits 3."""
     if g.vertices:
@@ -101,24 +99,20 @@ def cmd_split(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _decomposition(g: SimplicialGraph, stage: str) -> GraphOfGroups:
-    from .jsj import build_j0, jsj
-
-    return jsj(g) if stage == "j" else build_j0(g)
-
-
 def cmd_jsj(args: argparse.Namespace) -> int:
+    from .decompositions import build_j0, jsj
     from .serialize import _gog_json, gog_to_dot
 
     g = _load_graph(args.file, args.g6)
     if _is_empty(g):
         return EXIT_EMPTY
-    gog = _decomposition(g, args.stage)
+    gog = jsj(g) if args.stage == "j" else build_j0(g)
     _emit(gog_to_dot(gog) if args.format == "dot" else _gog_json(gog))
     return EXIT_OK
 
 
 def cmd_witness(args: argparse.Namespace) -> int:
+    from .graphs import GraphError
     from .serialize import _payload_json
     from .splitting import ZSplitWitness, amalgam_defects, cover_defects, splits_over_z
 
@@ -126,8 +120,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
     if _is_empty(g):
         return EXIT_EMPTY
     if len(g.vertices) < 3:
-        print("error: witnesses are produced for graphs with at least three vertices", file=sys.stderr)
-        return EXIT_PRECONDITION
+        raise GraphError("witnesses are produced for graphs with at least three vertices")
     report = splits_over_z(g)
     witness = report.witness
     defects = amalgam_defects if isinstance(witness, ZSplitWitness) else cover_defects
@@ -137,7 +130,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    from .jsj import is_reduced, jsj
+    from .decompositions import is_reduced, jsj
     from .presentations import abelianization, check_coverage, check_euler, emit_presentation
 
     g = _load_graph(args.file, args.g6)
@@ -161,15 +154,11 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_export_dot(args: argparse.Namespace) -> int:
-    from .serialize import gog_to_dot, graph_to_dot
+    if args.stage != "graph":
+        return cmd_jsj(args)  # the parser set format="dot"
+    from .serialize import graph_to_dot
 
-    g = _load_graph(args.file, args.g6)
-    if args.stage == "graph":
-        _emit(graph_to_dot(g))
-        return EXIT_OK
-    if _is_empty(g):
-        return EXIT_EMPTY
-    _emit(gog_to_dot(_decomposition(g, args.stage)))
+    _emit(graph_to_dot(_load_graph(args.file, args.g6)))
     return EXIT_OK
 
 
@@ -221,8 +210,8 @@ def census_rows(graphs_by_n: dict[int, Iterable[SimplicialGraph]]) -> list[dict]
     acceptance criterion 3 checks ``splits_over_z`` itself against the oracle.
     """
     from .blocks import is_biconnected
+    from .decompositions import jsj
     from .graphs import connected_components
-    from .jsj import jsj
 
     rows = []
     for n in sorted(graphs_by_n):
@@ -252,6 +241,8 @@ def census_rows(graphs_by_n: dict[int, Iterable[SimplicialGraph]]) -> list[dict]
 
 
 def cmd_census(args: argparse.Namespace) -> int:
+    import json
+
     if args.file is not None:
         from .graphs import ParseError
         from .serialize import parse_graph6
@@ -268,19 +259,17 @@ def cmd_census(args: argparse.Namespace) -> int:
                 return EXIT_PARSE
             if g.vertices:
                 by_n.setdefault(len(g.vertices), []).append(g)
-        _emit_json(census_rows(by_n))
+        _emit(json.dumps(census_rows(by_n)))
         return EXIT_OK
-    if args.n is not None:
-        ns = [args.n]
-    else:
-        ns = list(range(CENSUS_MIN_N, args.max_n + 1))
+    top = CENSUS_MAX_N if args.max_n is None else args.max_n
+    ns = [args.n] if args.n is not None else list(range(CENSUS_MIN_N, top + 1))
     if any(n < CENSUS_MIN_N or n > CENSUS_MAX_N for n in ns) or not ns:
         print(
             f"error: census enumerates {CENSUS_MIN_N} <= n <= {CENSUS_MAX_N} vertices",
             file=sys.stderr,
         )
         return EXIT_CENSUS_RANGE
-    _emit_json(census_rows({n: labeled_graphs(n) for n in ns}))
+    _emit(json.dumps(census_rows({n: labeled_graphs(n) for n in ns})))
     return EXIT_OK
 
 
@@ -314,17 +303,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(func=cmd_check)
 
     p_census = sub.add_parser("census", help="sweep labeled graphs and tabulate verdicts")
-    p_census.add_argument(
+    # one source of graphs; argparse passes an option given its default value as if absent,
+    # so --max-n has none of its own and cannot slip past the conflict check as "--max-n 6"
+    source = p_census.add_mutually_exclusive_group()
+    source.add_argument("--n", type=int, default=None, help="single vertex count")
+    source.add_argument("--max-n", type=int, default=None, dest="max_n")
+    source.add_argument(
         "file", nargs="?", default=None, help="graph6 stream (or -) instead of internal enumeration"
     )
-    p_census.add_argument("--n", type=int, default=None, help="single vertex count")
-    p_census.add_argument("--max-n", type=int, default=CENSUS_MAX_N, dest="max_n")
     p_census.set_defaults(func=cmd_census)
 
     p_dot = sub.add_parser("export-dot", help="DOT of the graph or its decomposition")
     add_input(p_dot)
     p_dot.add_argument("--stage", choices=("graph", "j0", "j"), default="graph")
-    p_dot.set_defaults(func=cmd_export_dot)
+    p_dot.set_defaults(func=cmd_export_dot, format="dot")
 
     return parser
 

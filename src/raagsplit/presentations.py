@@ -17,8 +17,8 @@ from collections import Counter
 from typing import NamedTuple
 
 from .blocks import cut_vertices
+from .decompositions import GraphOfGroups, RaagGroup
 from .graphs import GraphError, SimplicialGraph, _euler_characteristic, euler_characteristic
-from .jsj import GraphOfGroups, RaagGroup
 
 Word = tuple[tuple[int, int], ...]
 

@@ -13,7 +13,7 @@ from .graphs import GraphError, ParseError, SimplicialGraph
 # each record names its own kind, which the writers dispatch on: ``raag jsj`` never loads
 # ``splitting``, nor ``raag split`` ``jsj``
 if TYPE_CHECKING:
-    from .jsj import GraphOfGroups
+    from .decompositions import GraphOfGroups
     from .splitting import SplitReport, Witness
 
 GRAPH6_MAX_VERTICES = 62
@@ -151,7 +151,7 @@ def _gog_json(gog: GraphOfGroups) -> str:
 def gog_to_dot(gog: GraphOfGroups) -> str:
     """DOT rendering: black/white nodes, edges labeled by their group generator,
     loops by their stable letter."""
-    from .jsj import BLACK
+    from .decompositions import BLACK
     lines = ["graph decomposition {"]
     for v in gog.vertices:
         fill = "black" if v.color == BLACK else "white"

@@ -31,7 +31,7 @@ from raagsplit import (
     connected_components,
     parse_graph,
 )
-from raagsplit.jsj import BLACK, MERGED, WHITE
+from raagsplit.decompositions import BLACK, MERGED, WHITE
 from raagsplit.presentations import _commutator
 from raagsplit.splitting import _component_avoiding
 

@@ -11,6 +11,7 @@ import ast
 import importlib
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -91,11 +92,19 @@ def fresh(code: str) -> str:
 
 class TestLazyRoot:
     @pytest.mark.parametrize(
-        "first", ["import raagsplit.presentations", "from raagsplit.jsj import build_j0", "pass"]
+        "first",
+        ["import raagsplit.presentations", "from raagsplit.decompositions import build_j0", "pass"],
     )
     def test_jsj_stays_the_function(self, first):
         code = f"{first}\nimport raagsplit, types\nprint(isinstance(raagsplit.jsj, types.FunctionType))"
         assert fresh(code) == "True\n"
+
+    def test_package_is_a_plain_module(self):
+        assert type(sys.modules["raagsplit"]) is types.ModuleType
+
+    def test_no_submodule_shares_a_public_name(self):
+        # the import system binds each loaded submodule on the package, over any such name
+        assert set(raagsplit.__all__).isdisjoint(raagsplit._SUBMODULES)
 
     def test_star_import_binds_exactly_all(self):
         code = (

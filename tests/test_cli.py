@@ -237,6 +237,18 @@ class TestCensus:
         code, _, err = run(capsys, ["census", "--n", "2"])
         assert code == 5 and "census" in err
 
+    # "--max-n 6" gives the option its default value, which argparse alone would let through
+    @pytest.mark.parametrize(
+        "options", [["--n", "5", "FILE"], ["--n", "4", "--max-n", "5"], ["--n", "4", "--max-n", "6"]]
+    )
+    def test_one_source_of_graphs(self, capsys, tmp_path, options):
+        path = tmp_path / "stream.g6"
+        path.write_text("Bw\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["census", *(str(path) if o == "FILE" else o for o in options)])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "") and "not allowed with" in err
+
     def test_stream_disconnected_only(self, capsys, tmp_path, monkeypatch):
         # 3-vertex graph with a single edge: disconnected, counts stay zero
         stream = tmp_path / "g6.txt"
@@ -343,6 +355,25 @@ class TestUnreadableInput:
             from_file = run(capsys, [command, str(path)])
             assert run(capsys, [command, "-"], stdin=text, monkeypatch=monkeypatch) == from_file
 
+    @pytest.mark.parametrize("argv", [["split", "-"], ["census", "-"]])
+    def test_closed_stdin(self, argv):
+        # a process started with descriptor 0 closed has no sys.stdin at all
+        code = "import sys; sys.path.insert(0, sys.argv.pop(1)); from raagsplit.cli import entry; entry()"
+        result = subprocess.run(
+            ["sh", "-c", 'exec 0<&-; exec "$@"', "sh", sys.executable, "-S", "-c", code, str(SRC), *argv],
+            capture_output=True,
+        )
+        assert (result.returncode, result.stdout) == (2, b"")
+        assert result.stderr.startswith(b"error: cannot read -: ") and result.stderr.count(b"\n") == 1
+
+    def test_byte_order_mark_is_skipped(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "triangle.txt"
+        path.write_text(TRIANGLE)
+        plain = run(capsys, ["split", str(path)])
+        path.write_bytes(b"\xef\xbb\xbf" + TRIANGLE.encode())
+        assert plain[0] == 0 and run(capsys, ["split", str(path)]) == plain
+        assert run(capsys, ["split", "-"], path.read_bytes(), monkeypatch) == plain
+
 
 class TestClosedPipe:
     def test_reader_closing_stdout_exits_141_quietly(self, tmp_path):
@@ -388,6 +419,23 @@ class TestExportDot:
     def test_empty_graph_stage_graph(self, capsys, monkeypatch):
         code, out, err = run(capsys, ["export-dot", "-"], stdin="", monkeypatch=monkeypatch)
         assert (code, out, err) == (0, "graph defining_graph {\n}\n", "")
+
+    @pytest.mark.parametrize("stage", ["j", "j0"])
+    @pytest.mark.parametrize(
+        "name", ["path", "random-tree", "k4-chain", "cactus", "empty", "disconnected", "unreadable"]
+    )
+    def test_same_as_jsj_dot(self, capsys, tmp_path, name, stage):
+        path = tmp_path / f"{name}.txt"
+        if name == "empty":
+            path.write_text("")
+        elif name == "disconnected":
+            path.write_text("a b\nc d\n")
+        elif name != "unreadable":
+            path.write_text("".join(f"{u} {v}\n" for u, v in scale_graph(name, 300, 1).edges))
+        exported = run(capsys, ["export-dot", str(path), f"--stage={stage}"])
+        assert exported == run(capsys, ["jsj", str(path), f"--stage={stage}", "--format=dot"])
+        expected_code = {"empty": 3, "disconnected": 4, "unreadable": 2}.get(name, 0)
+        assert exported[0] == expected_code
 
 
 class TestGoldenAtScale:
@@ -665,7 +713,9 @@ class TestGraph6:
 class TestImportSet:
     """Each command loads only the modules it runs; a new top-level import would undo that."""
 
-    CORE = ["raagsplit", "raagsplit.blocks", "raagsplit.cli", "raagsplit.graphs", "raagsplit.jsj"]
+    CORE = [
+        "raagsplit", "raagsplit.blocks", "raagsplit.cli", "raagsplit.decompositions", "raagsplit.graphs",
+    ]
     # the verdict commands write no decomposition, and the decomposition commands no verdict
     VERDICT = [
         "json", "raagsplit", "raagsplit.blocks", "raagsplit.cli", "raagsplit.graphs",

@@ -21,7 +21,7 @@ from raagsplit import (
     parse_graph,
 )
 from raagsplit.cli import labeled_graphs
-from raagsplit.jsj import BLACK, MERGED, WHITE
+from raagsplit.decompositions import BLACK, MERGED, WHITE
 from raagsplit.serialize import _gog_json, gog_to_dot
 
 from conftest import (

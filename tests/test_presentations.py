@@ -25,7 +25,7 @@ from raagsplit import (
     smith_normal_form,
 )
 from raagsplit.cli import labeled_graphs
-from raagsplit.jsj import CyclicGroup, GoGEdge, GoGVertex, GraphOfGroups, RaagGroup
+from raagsplit.decompositions import CyclicGroup, GoGEdge, GoGVertex, GraphOfGroups, RaagGroup
 
 from conftest import (
     HUB_GRAPHS,
