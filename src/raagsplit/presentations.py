@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import NamedTuple
+from typing import NamedTuple, Union
 
 from .blocks import cut_vertices
 from .decompositions import GraphOfGroups, RaagGroup
@@ -42,16 +42,23 @@ def raag_presentation(g: SimplicialGraph) -> Presentation:
 def _span_edges(g: SimplicialGraph, gog: GraphOfGroups) -> list[tuple[tuple[str, ...], list[tuple[str, str]]]]:
     """Each RAAG vertex group's span and the sorted edges g induces on it, from one pass over g's edges."""
     spans = [(v.group.vertices, []) for v in gog.vertices if isinstance(v.group, RaagGroup)]
-    spans_of: dict[str, set[int]] = {}
+    spans_of: dict[str, Union[int, set[int]]] = {}  # a bare index until a second span
     for i, (span, _) in enumerate(spans):
         for x in span:
             if x not in g:
                 raise GraphError(f"vertex {min(y for y in span if y not in g)!r} not in graph")
-            spans_of.setdefault(x, set()).add(i)
+            known = spans_of.setdefault(x, i)
+            if type(known) is set:
+                known.add(i)
+            elif known != i:
+                spans_of[x] = {known, i}
     for a, b in g.edges:
-        if a in spans_of and b in spans_of:
-            for i in spans_of[a] & spans_of[b]:  # runs over the smaller set, so no span rescans a hub
-                spans[i][1].append((a, b))
+        i, j = spans_of.get(a, -1), spans_of.get(b, -2)  # never equal, and in no set
+        if type(i) is set or type(j) is set:  # runs over the smaller set, so no span rescans a hub
+            for k in ({i} if type(i) is int else i) & ({j} if type(j) is int else j):
+                spans[k][1].append((a, b))
+        elif i == j:
+            spans[i][1].append((a, b))
     return spans
 
 

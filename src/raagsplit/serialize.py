@@ -56,20 +56,27 @@ def _payload_json(fields: dict) -> str:
     """``json.dumps(fields)`` where ``fields["witness"]`` is a witness record, not its dict.
 
     The bytes are those of ``json.dumps`` with ``witness_to_dict`` of the
-    record in its place.  A cover is written at C speed per name, a span
-    tuple that several entries share is written once and reused while the
-    same object comes round again, and every piece goes into one list that
-    is joined once.
+    record in its place, written without ``json``: keys, ``z_split``, tags and
+    names are tokens with nothing to escape, and the other fields booleans.
+    A cover is written at C speed per name, a span tuple that several
+    entries share is written once and reused while the same object comes
+    round again, and every piece goes into one list that is joined once.
     """
-    import json  # here, so that ``raag jsj`` and ``raag export-dot`` never load it
-
     parts = []
     for key, value in fields.items():
-        parts += (", " if parts else "{", json.dumps(key), ": ")
+        parts += (", " if parts else "{", f'"{key}": ')
+        kind = getattr(value, "_kind", None)
         if key != "witness":
-            parts.append(json.dumps(value))
-        elif getattr(value, "_kind", None) != "cover":
-            parts.append(json.dumps(witness_to_dict(value)))
+            parts.append(_JSON_BOOL[value] if isinstance(value, bool) else f'"{value}"')
+        elif kind == "amalgam":
+            parts.append(
+                f'{{"kind": "amalgam", "side1": {_names_json(value.side1)}, '
+                f'"side2": {_names_json(value.side2)}, "vertex": "{value.vertex}"}}'
+            )
+        elif kind == "small_case":
+            parts.append(f'{{"kind": "small_case", "tag": "{value.tag}"}}')
+        elif kind != "cover":
+            raise GraphError(f"unknown witness {value!r}")
         else:
             parts.append('{"kind": "cover", "cover": [')
             written: dict[int, tuple[object, str]] = {}

@@ -39,8 +39,9 @@ class ZSplitWitness(NamedTuple):
 class NonSplitCover(NamedTuple):
     """Per two-edge segment: an induced subgraph and its Hamiltonian cycle.
 
-    Keys are normalized segments (u, v, w) with u < w; values are the sorted
-    span and the cycle witness starting at the segment's middle vertex.
+    Keys are normalized segments (u, v, w) with u < w, in sorted order as the
+    library builds them; values are the sorted span and the cycle witness
+    starting at the segment's middle vertex.
     """
 
     entries: dict[tuple[str, str, str], tuple[tuple[str, ...], tuple[str, ...]]]
@@ -128,7 +129,9 @@ def nonsplit_cover(g: SimplicialGraph) -> NonSplitCover:
     steps away is searched, from both ends in g - v: the search from u keeps
     its ball for every later far neighbour w of v, and a w outside it
     searches back until the two balls meet, so the cost is the balls
-    searched plus the size of the cover.
+    searched plus the size of the cover.  Entries are built in segment
+    order, u over the sorted vertices, v over u's sorted neighbours and w
+    over v's neighbours after u, so no closing sort is needed.
     """
     if len(g.vertices) < 3 or not is_biconnected(g):
         raise GraphError("Hamiltonian covers exist for biconnected graphs on >= 3 vertices")
@@ -139,58 +142,48 @@ def _nonsplit_cover(g: SimplicialGraph) -> NonSplitCover:
     """``nonsplit_cover`` for a graph already known to be biconnected on >= 3 vertices."""
     adj = g._adj
     whole = tuple(sorted(adj))
-    entries: dict[tuple[str, str, str], tuple[tuple[str, ...], tuple[str, ...]]] = {}
-    if len(g.edges) == len(whole):  # biconnected with as many edges as vertices: one cycle
+    n = len(whole)
+    entries: dict = {}
+    if len(g.edges) == n:  # biconnected with as many edges as vertices: one cycle
         v = whole[0]
         _cycle_entries((v, *_walk(adj, v, adj[v][1])[:-1]), whole, entries)
         return NonSplitCover(entries=dict(sorted(entries.items())))
     nbrs = {x: set(nx) for x, nx in adj.items()}
-    chained: set[str] = set()
-    for v in whole:
-        if v in chained:
-            continue
-        nv = adj[v]
-        if len(nv) == 2:
-            chain = (*_walk(adj, v, nv[0])[::-1], v, *_walk(adj, v, nv[1]))
-            _chain_entries(g, nbrs, chain, whole, entries)
-            chained.update(chain[1:-1])
-            continue
-        for i, u in enumerate(nv[:-1]):
-            later = nv[i + 1 :]
-            paths = _near_paths(nbrs, u, v, later)
-            if None in paths:  # one search from u, kept for all of its far targets
-                far = _least_paths(g, u, v, [w for w, path in zip(later, paths) if path is None])
-                paths = [path or next(far) for path in paths]
-            for w, path in zip(later, paths):
-                # biconnected, so every path exists; it is simple and avoids v, so the
-                # sorted cycle is its span: the shared `whole` when it has every vertex
-                cycle = (v, *path)  # type: ignore
-                delta = whole if len(cycle) == len(whole) else tuple(sorted(cycle))
-                entries[(u, v, w)] = (delta, cycle)
-    return NonSplitCover(entries=dict(sorted(entries.items())))
-
-
-def _near_paths(
-    nbrs: dict[str, set[str]], start: str, avoid: str, targets: Sequence[str]
-) -> list[Optional[tuple[str, ...]]]:
-    """Per target: its least shortest path from ``start`` in g minus ``avoid``, or None if longer.
-
-    A path of one edge is (start, w) when start ~ w.  One of two edges is
-    (start, x, w) for the least common neighbour x other than ``avoid``.
-    Both are the paths ``_least_paths`` returns: its first forward level is
-    start's sorted neighbours, so w's first-found parent is the least of them
-    next to w.  ``nbrs`` holds g's neighbour sets.
-    """
-    near = nbrs[start]
-    out: list[Optional[tuple[str, ...]]] = []
-    for w in targets:
-        if w in near:
-            out.append((start, w))
-            continue
-        common = near & nbrs[w]
-        common.discard(avoid)
-        out.append((start, min(common), w) if common else None)
-    return out
+    mids: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {}  # degree-2 vertex -> its entry
+    for u in whole:
+        near = nbrs[u]
+        for v in adj[u]:
+            nv = adj[v]
+            if len(nv) == 2:
+                if nv[0] == u:  # v's one segment (u, v, nv[1]); its whole chain is built at once
+                    entry = mids.pop(v, None)
+                    if entry is None:
+                        chain = (*_walk(adj, v, nv[0])[::-1], v, *_walk(adj, v, nv[1]))
+                        _chain_entries(g, nbrs, chain, whole, mids)
+                        entry = mids.pop(v)
+                    entries[(u, v, nv[1])] = entry
+                continue
+            far = []
+            for w in nv[nv.index(u) + 1 :]:
+                if w in near:  # the path is the edge u-w, and u < w
+                    span = (v, u, w) if v < u else (u, v, w) if v < w else (u, w, v)
+                    entries[(u, v, w)] = (span if n > 3 else whole, (v, u, w))
+                    continue
+                common = near & nbrs[w]
+                common.discard(v)
+                if common:  # u-x-w for the least such x: the search's first level is adj[u]
+                    cycle = (v, u, min(common), w)
+                    entries[(u, v, w)] = (tuple(sorted(cycle)) if n > 4 else whole, cycle)
+                else:
+                    far.append(w)
+                    entries[(u, v, w)] = None  # holds the key's place until the search
+            if far:  # one search from u, kept for all of its far targets
+                for w, path in zip(far, _least_paths(g, u, v, far)):
+                    # biconnected, so every path exists; it is simple and avoids v, so the
+                    # sorted cycle is its span: the shared `whole` when it has every vertex
+                    cycle = (v, *path)  # type: ignore
+                    entries[(u, v, w)] = (tuple(sorted(cycle)) if len(cycle) < n else whole, cycle)
+    return NonSplitCover(entries=entries)
 
 
 def _least_paths(
@@ -294,9 +287,9 @@ def _chain_entries(
     nbrs: dict[str, set[str]],
     chain: tuple[str, ...],
     whole: tuple[str, ...],
-    entries: dict,
+    mids: dict,
 ) -> None:
-    """The cover entries of the inner vertices of ``chain`` = (a, c1, ..., ck, b).
+    """The cover entries of the inner vertices of ``chain`` = (a, c1, ..., ck, b), keyed by ci.
 
     In g - ci the segment's path runs down the chain to one end, along the
     least shortest path between the ends, and up the chain to the other
@@ -310,15 +303,19 @@ def _chain_entries(
         p, v, q = chain[i - 1], chain[i], chain[i + 1]
         start, end = (a, b) if p < q else (b, a)
         if start not in middles:
-            path = _near_paths(nbrs, start, v, (end,))[0] or next(_least_paths(g, start, v, (end,)))
-            inner = tuple(path[1:-1])  # type: ignore  # biconnected
+            common = nbrs[start] & nbrs[end]
+            common.discard(v)
+            inner = (  # the near-path rule of the main loop, else one search
+                () if end in nbrs[start] else (min(common),) if common
+                else tuple(next(_least_paths(g, start, v, (end,)))[1:-1])  # type: ignore  # biconnected
+            )
             span = chain + inner
             middles[start] = (inner, whole if len(span) == len(whole) else tuple(sorted(span)))
         inner, span = middles[start]
         if p < q:  # down to a, across to b, up to q
-            entries[(p, v, q)] = (span, chain[i::-1] + inner + chain[:i:-1])
+            mids[v] = (span, chain[i::-1] + inner + chain[:i:-1])
         else:  # down to b, across to a, up to p
-            entries[(q, v, p)] = (span, chain[i:] + inner + chain[:i])
+            mids[v] = (span, chain[i:] + inner + chain[:i])
 
 
 def amalgam_defects(g: SimplicialGraph, w: ZSplitWitness) -> list[str]:
@@ -372,9 +369,8 @@ def cover_defects(g: SimplicialGraph, cover: NonSplitCover) -> list[str]:
     defects = []
     ordered = two_edge_segments(g)  # sorted, with no repeats
     segments = set(ordered)
-    for seg in ordered:
-        if seg not in cover.entries:
-            defects.append(f"missing segment {seg}")
+    if not segments <= cover.entries.keys():
+        defects = [f"missing segment {seg}" for seg in ordered if seg not in cover.entries]
     try:
         items = sorted(cover.entries.items())
     except TypeError:  # keys of several types do not sort

@@ -33,7 +33,7 @@ from raagsplit import (
 )
 from raagsplit.decompositions import BLACK, MERGED, WHITE
 from raagsplit.presentations import _commutator
-from raagsplit.splitting import _component_avoiding
+from raagsplit.splitting import NonSplitCover, _component_avoiding, _cycle_entries, _least_paths, _walk
 
 settings.register_profile(
     "default", deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -436,6 +436,75 @@ def frozen_z_split_witness(g: SimplicialGraph, cuts) -> ZSplitWitness:
     side1 = tuple(sorted(set(first) | {v}))
     side2 = tuple(outside)
     return ZSplitWitness(side1=side1, side2=side2, vertex=v)
+
+
+def frozen_nonsplit_cover(g: SimplicialGraph) -> NonSplitCover:
+    """``splitting._nonsplit_cover`` as it was before it built its entries in segment order.
+
+    Kept verbatim, with its per-vertex loop, its ``_near_paths`` lists, its
+    chain entries keyed by segment and its closing sort, so the fused loop
+    can be compared entry for entry and in order.
+    """
+    adj = g._adj
+    whole = tuple(sorted(adj))
+    entries = {}
+    if len(g.edges) == len(whole):  # biconnected with as many edges as vertices: one cycle
+        v = whole[0]
+        _cycle_entries((v, *_walk(adj, v, adj[v][1])[:-1]), whole, entries)
+        return NonSplitCover(entries=dict(sorted(entries.items())))
+    nbrs = {x: set(nx) for x, nx in adj.items()}
+    chained = set()
+    for v in whole:
+        if v in chained:
+            continue
+        nv = adj[v]
+        if len(nv) == 2:
+            chain = (*_walk(adj, v, nv[0])[::-1], v, *_walk(adj, v, nv[1]))
+            _frozen_chain_entries(g, nbrs, chain, whole, entries)
+            chained.update(chain[1:-1])
+            continue
+        for i, u in enumerate(nv[:-1]):
+            later = nv[i + 1 :]
+            paths = _frozen_near_paths(nbrs, u, v, later)
+            if None in paths:  # one search from u, kept for all of its far targets
+                far = _least_paths(g, u, v, [w for w, path in zip(later, paths) if path is None])
+                paths = [path or next(far) for path in paths]
+            for w, path in zip(later, paths):
+                cycle = (v, *path)
+                delta = whole if len(cycle) == len(whole) else tuple(sorted(cycle))
+                entries[(u, v, w)] = (delta, cycle)
+    return NonSplitCover(entries=dict(sorted(entries.items())))
+
+
+def _frozen_near_paths(nbrs, start, avoid, targets):
+    near = nbrs[start]
+    out = []
+    for w in targets:
+        if w in near:
+            out.append((start, w))
+            continue
+        common = near & nbrs[w]
+        common.discard(avoid)
+        out.append((start, min(common), w) if common else None)
+    return out
+
+
+def _frozen_chain_entries(g, nbrs, chain, whole, entries):
+    a, b = chain[0], chain[-1]
+    middles = {}  # start end -> inner, span
+    for i in range(1, len(chain) - 1):
+        p, v, q = chain[i - 1], chain[i], chain[i + 1]
+        start, end = (a, b) if p < q else (b, a)
+        if start not in middles:
+            path = _frozen_near_paths(nbrs, start, v, (end,))[0] or next(_least_paths(g, start, v, (end,)))
+            inner = tuple(path[1:-1])
+            span = chain + inner
+            middles[start] = (inner, whole if len(span) == len(whole) else tuple(sorted(span)))
+        inner, span = middles[start]
+        if p < q:  # down to a, across to b, up to q
+            entries[(p, v, q)] = (span, chain[i::-1] + inner + chain[:i:-1])
+        else:  # down to b, across to a, up to p
+            entries[(q, v, p)] = (span, chain[i:] + inner + chain[:i])
 
 
 def hand_built_gogs() -> dict[str, GraphOfGroups]:

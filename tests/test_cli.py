@@ -573,6 +573,11 @@ class TestPayloadRenderer:
         }
         self.assert_same_bytes(SplitReport(False, "no", NonSplitCover(entries=entries)))
 
+    def test_unknown_witness_rejected_as_by_the_dict_form(self):
+        for write in (witness_to_dict, lambda w: _payload_json({"z_split": "no", "witness": w})):
+            with pytest.raises(GraphError, match="^unknown witness"):
+                write(("a", "b"))
+
 
 class TestGogRenderer:
     """``raag jsj``'s JSON is the bytes ``json.dumps`` writes from ``gog_to_dict``."""
@@ -716,9 +721,10 @@ class TestImportSet:
     CORE = [
         "raagsplit", "raagsplit.blocks", "raagsplit.cli", "raagsplit.decompositions", "raagsplit.graphs",
     ]
-    # the verdict commands write no decomposition, and the decomposition commands no verdict
+    # the verdict commands write no decomposition and their payload without json, and the
+    # decomposition commands no verdict
     VERDICT = [
-        "json", "raagsplit", "raagsplit.blocks", "raagsplit.cli", "raagsplit.graphs",
+        "raagsplit", "raagsplit.blocks", "raagsplit.cli", "raagsplit.graphs",
         "raagsplit.serialize", "raagsplit.splitting",
     ]
 

@@ -2,7 +2,7 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from raagsplit import (
@@ -28,6 +28,7 @@ from raagsplit.splitting import _least_paths
 
 from conftest import (
     exhaustive_bfs_parents,
+    frozen_nonsplit_cover,
     frozen_z_split_witness,
     graphs,
     induced_subgraph,
@@ -348,6 +349,54 @@ class TestNonSplitCover:
         )
         assert len(cover.entries) == expected
         assert verify_cover(g, cover)
+
+
+class TestFrozenCover:
+    """The cover built in segment order has the entries of its frozen copy in conftest,
+    which built them per middle vertex and sorted them at the end, in the same order."""
+
+    @staticmethod
+    def assert_same(g):
+        assert list(nonsplit_cover(g).entries.items()) == list(frozen_nonsplit_cover(g).entries.items())
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_every_biconnected_graph(self, n):
+        count = 0
+        for g in labeled_graphs(n):
+            if is_biconnected(g):
+                self.assert_same(g)
+                count += 1
+        assert count == {3: 1, 4: 10, 5: 238, 6: 11368}[n]
+
+    def test_seeded_seven_vertex_graphs(self):
+        # uniform labeled graphs on seven vertices, as the small sweep draws them
+        rng = random.Random(1)
+        names = "abcdefg"
+        pairs = list(combinations(names, 2))
+        count = 0
+        while count < 3000:
+            mask = rng.getrandbits(len(pairs))
+            g = SimplicialGraph(names, [pair for i, pair in enumerate(pairs) if mask >> i & 1])
+            if is_biconnected(g):
+                self.assert_same(g)
+                count += 1
+
+    @pytest.mark.parametrize("family", ["cycle", "grid", "ear", "K30", "wheel", "k2"])
+    def test_scale_families(self, family):
+        if family in ("cycle", "grid", "ear"):
+            g = scale_graph(family, 300, 1)
+        elif family == "K30":
+            g = shuffled(list(combinations(range(30), 2)), family)
+        else:
+            g = hub_graph(family)
+        self.assert_same(g)
+
+    @given(graphs(min_vertices=3, max_vertices=9, connected=True))
+    @settings(max_examples=300)
+    def test_keys_come_out_sorted(self, g):
+        assume(is_biconnected(g))
+        c = nonsplit_cover(g)
+        assert list(c.entries) == sorted(c.entries)
 
 
 class TestVerifyCover:
