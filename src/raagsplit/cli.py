@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 
 # each command imports the modules it runs, so ``--help`` loads none of the library
 if TYPE_CHECKING:
-    from typing import Iterable, Iterator, Optional
+    from typing import Iterable, Iterator, Optional, Union
 
     from .graphs import SimplicialGraph
 
@@ -73,10 +73,16 @@ def _load_graph(path: str, g6: bool) -> SimplicialGraph:
     return parse_graph(text)
 
 
-def _emit(payload: str) -> None:
-    # written apart, so a cover payload of many megabytes is not copied to add a newline
-    sys.stdout.write(payload)
-    if not payload.endswith("\n"):
+def _emit(payload: Union[str, Iterable[str]]) -> None:
+    """Write ``payload``, a string or the chunks of one, to stdout, ending in one newline.
+
+    Each chunk is written as it comes, so a cover payload of many megabytes
+    is never joined, encoded whole or copied to add the newline.
+    """
+    last = ""
+    for last in (payload,) if isinstance(payload, str) else payload:
+        sys.stdout.write(last)
+    if not last.endswith("\n"):
         sys.stdout.write("\n")
 
 

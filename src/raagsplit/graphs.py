@@ -9,8 +9,6 @@ construction and safe to share between threads.
 from __future__ import annotations
 
 import re
-from collections import deque
-from itertools import combinations
 from typing import Iterable, Sequence
 
 
@@ -169,21 +167,19 @@ def parse_graph(text: str) -> SimplicialGraph:
 
 def connected_components(g: SimplicialGraph) -> list[tuple[str, ...]]:
     """Maximal connected pieces, each sorted, ordered by least member."""
+    adj = g._adj
     seen: set[str] = set()
     comps: list[tuple[str, ...]] = []
-    for start in sorted(g.vertices):
+    for start in sorted(adj):
         if start in seen:
             continue
-        comp = [start]
         seen.add(start)
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for y in g.neighbors(x):
+        comp = [start]
+        for x in comp:  # the list grows as it is read, so it is the search's queue too
+            for y in adj[x]:
                 if y not in seen:
                     seen.add(y)
                     comp.append(y)
-                    queue.append(y)
         comps.append(tuple(sorted(comp)))
     return comps
 
@@ -225,9 +221,16 @@ def euler_characteristic(g: SimplicialGraph) -> int:
 
 
 def two_edge_segments(g: SimplicialGraph) -> list[tuple[str, str, str]]:
-    """All paths u-v-w with u < w, sorted; the unordered two-edge segments of g."""
+    """All paths u-v-w with u < w, sorted; the unordered two-edge segments of g.
+
+    They are listed in order, with no sort: u runs over the sorted vertices,
+    v over u's sorted neighbours and w over v's neighbours after u.
+    """
+    adj = g._adj
     segs = []
-    for v in g.vertices:
-        for u, w in combinations(g.neighbors(v), 2):
-            segs.append((u, v, w))
-    return sorted(segs)
+    for u in sorted(adj):
+        for v in adj[u]:
+            nv = adj[v]
+            for w in nv[nv.index(u) + 1 :]:
+                segs.append((u, v, w))
+    return segs

@@ -6,7 +6,7 @@ bytes; golden-file tests rely on it.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from .graphs import GraphError, ParseError, SimplicialGraph
 
@@ -52,19 +52,27 @@ def _names_json(names) -> str:
     return '["' + '", "'.join(names) + '"]' if names else "[]"
 
 
-def _payload_json(fields: dict) -> str:
-    """``json.dumps(fields)`` where ``fields["witness"]`` is a witness record, not its dict.
+_CHUNK = 1 << 16  # about how many characters of cover arrays ``_payload_json`` yields at once
 
-    The bytes are those of ``json.dumps`` with ``witness_to_dict`` of the
-    record in its place, written without ``json``: keys, ``z_split``, tags and
-    names are tokens with nothing to escape, and the other fields booleans.
-    A cover is written at C speed per name, a span tuple that several
-    entries share is written once and reused while the same object comes
-    round again, and every piece goes into one list that is joined once.
+
+def _payload_json(fields: dict) -> Iterator[str]:
+    """``json.dumps(fields)`` in chunks, where ``fields["witness"]`` is a witness record, not its dict.
+
+    The joined chunks are the bytes of ``json.dumps`` with ``witness_to_dict``
+    of the record in its place, written without ``json``: keys, ``z_split``,
+    tags and names are tokens with nothing to escape, and the other fields
+    booleans.  A cover is written at C speed per name, and a span that is
+    the very object of the entry before is not written again: its text is
+    reused.  Pieces are joined and yielded once their cover arrays reach
+    about 64 KB, so no joined payload, no list of every piece and no table
+    of every span's text is ever held; a witness of no known kind raises
+    ``GraphError`` before anything is yielded.
     """
     parts = []
+    lead = "{"
     for key, value in fields.items():
-        parts += (", " if parts else "{", f'"{key}": ')
+        parts += (lead, f'"{key}": ')
+        lead = ", "
         kind = getattr(value, "_kind", None)
         if key != "witness":
             parts.append(_JSON_BOOL[value] if isinstance(value, bool) else f'"{value}"')
@@ -79,20 +87,26 @@ def _payload_json(fields: dict) -> str:
             raise GraphError(f"unknown witness {value!r}")
         else:
             parts.append('{"kind": "cover", "cover": [')
-            written: dict[int, tuple[object, str]] = {}
             sep = ""
+            size = 0
+            last: object = parts  # the entry span that ``span`` spells; none yet
             for seg, (delta, cycle) in sorted(value.entries.items()):
-                hit = written.get(id(delta))
-                if hit is None or hit[0] is not delta:
-                    hit = written[id(delta)] = (delta, _names_json(delta))
+                if delta is not last:
+                    span, last = _names_json(delta), delta
+                text = _names_json(cycle)
                 parts += (
-                    sep, '{"segment": ', _names_json(seg), ', "delta": ', hit[1],
-                    ', "cycle": ', _names_json(cycle), "}",
+                    sep, '{"segment": ', _names_json(seg), ', "delta": ', span,
+                    ', "cycle": ', text, "}",
                 )
                 sep = ", "
+                size += len(span) + len(text)
+                if size >= _CHUNK:
+                    yield "".join(parts)
+                    parts.clear()
+                    size = 0
             parts.append("]}")
-    parts.append("}" if parts else "{}")
-    return "".join(parts)
+    parts.append("}" if fields else "{}")
+    yield "".join(parts)
 
 
 def _group_kind(group) -> str:

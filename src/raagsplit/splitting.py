@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Mapping
-from typing import AbstractSet, Collection, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import AbstractSet, Collection, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .blocks import _lowpoint_scan, cut_vertices, is_biconnected
-from .graphs import GraphError, SimplicialGraph, connected_components, two_edge_segments
+from .graphs import GraphError, SimplicialGraph, two_edge_segments
 
 Z_SPLIT_YES = "yes"
 Z_SPLIT_NO = "no"
@@ -347,36 +347,63 @@ def cover_defects(g: SimplicialGraph, cover: NonSplitCover) -> list[str]:
     """All reasons ``cover`` fails to certify g; empty means the cover is valid.
 
     A cover certifies "no Z-splitting" only on a connected graph with at
-    least three vertices, so any other graph is a defect by itself.  Each
-    distinct span, keyed by its value, is made a set and judged once.  A
-    cycle has its steps looked up in one set of g's oriented edges, built
-    once per call, unless it is the last checked cycle of its span read from
-    another start or in the other direction: it takes the same steps, so its
-    entry costs one comparison.  The cost is O(n + m) plus the size of the
-    cover, at C speed per name, and no subgraph is built per entry.  A
-    malformed entry is a defect of its own, and so are entries that are not
-    a mapping.
+    least three vertices, so any other graph is a defect by itself; one
+    search over neighbour sets built from ``g.edges`` tells.  A plain dict
+    whose keys are g's two-edge segments in sorted order, as the library
+    builds it, is walked in its own order; any other mapping, key order or
+    key set has its items sorted, and its missing and foreign segments
+    found, first.  Each distinct span, keyed by its value, is made a set and
+    judged once, and an entry whose span is the previous entry's span tuple
+    itself reuses that record without hashing it again.  A cycle has each
+    step looked up in the neighbour sets, unless it is the last checked
+    cycle of its span read from another start or in the other direction: a
+    position dict, made when that cycle is first met again, finds its start
+    there, and since it takes the same steps its entry costs one comparison.
+    A span of three vertices is the segment u-v-w itself, whose steps u-v
+    and v-w are edges, so a cycle that spells it needs only u ~ w; a cycle
+    that fails that test is checked in full.
+    The cost is O(n + m) plus the size of the cover, and no subgraph is
+    built per entry.  A malformed entry is a defect of its own, and so are
+    entries that are not a mapping.
     """
-    if len(g.vertices) < 3 or len(connected_components(g)) != 1:
+    nbrs: dict[str, set[str]] = {x: set() for x in g.vertices}
+    for a, b in g.edges:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    reached = set(g.vertices[:1])  # one search from the first vertex, if there is one
+    stack = list(reached)
+    for x in stack:  # the list grows as it is read
+        for y in nbrs[x]:
+            if y not in reached:
+                reached.add(y)
+                stack.append(y)
+    if len(nbrs) < 3 or len(reached) != len(nbrs):
         return ["graph is not connected with at least three vertices"]
-    if not isinstance(cover.entries, Mapping):
+    entries = cover.entries
+    if not isinstance(entries, Mapping):
         return ["cover entries are not a mapping of segments"]
-    vertices = set(g.vertices)
-    arcs = _arcs(g)
-    # span value -> its set, its defect or None, and its last checked cycle written twice;
-    # keyed by value, so nothing the builder shares is trusted
-    spans: dict[tuple, list] = {}
+    vertices = set(nbrs)
     defects = []
     ordered = two_edge_segments(g)  # sorted, with no repeats
-    segments = set(ordered)
-    if not segments <= cover.entries.keys():
-        defects = [f"missing segment {seg}" for seg in ordered if seg not in cover.entries]
-    try:
-        items = sorted(cover.entries.items())
-    except TypeError:  # keys of several types do not sort
-        return [*defects, "entries are not all keyed by segments of vertex names"]
+    foreign: Collection = ()
+    if type(entries) is dict and list(entries) == ordered:  # exactly the segments, in order
+        items: Iterable = entries.items()
+    else:
+        segments = set(ordered)
+        if not segments <= entries.keys():
+            defects = [f"missing segment {seg}" for seg in ordered if seg not in entries]
+        try:
+            items = sorted(entries.items())
+            foreign = {seg for seg, _ in items if seg not in segments}
+        except TypeError:  # keys of several types do not sort, or a key does not hash
+            return [*defects, "entries are not all keyed by segments of vertex names"]
+    # span value -> its set, its defect or None, its last checked cycle written twice, and
+    # each name's position in that cycle once it is reused; keyed by value, so nothing the
+    # builder shares is trusted
+    spans: dict[tuple, list] = {}
+    last: object = spans  # the span tuple that ``known`` belongs to; none yet
     for seg, entry in items:
-        if seg not in segments:
+        if foreign and seg in foreign:
             defects.append(f"entry {seg}: not a two-edge segment of the graph")
             continue
         try:
@@ -384,31 +411,38 @@ def cover_defects(g: SimplicialGraph, cover: NonSplitCover) -> list[str]:
                 delta, cycle = entry
             except ValueError:  # not two items: tuple(None) below reports it
                 delta = None
-            key = tuple(delta)  # type: ignore
-            known = spans.get(key)
-            if known is None:
-                span = set(key)
-                flaw = (
-                    "span leaves the graph" if not span <= vertices
-                    else "span has fewer than three vertices" if len(key) < 3
-                    else None
-                )
-                known = spans[key] = [span, flaw, ()]
-            span, flaw, ring = known
+            if delta is not last:
+                key = tuple(delta)  # type: ignore
+                record = spans.get(key)
+                if record is None:
+                    span = set(key)
+                    flaw = (
+                        "span leaves the graph" if not span <= vertices
+                        else "span has fewer than three vertices" if len(key) < 3
+                        else None
+                    )
+                    record = spans[key] = [span, flaw, (), None]
+                known, last = record, key
+            span, flaw, ring, position = known
             u, v, w = seg
             if flaw is None and not (u in span and v in span and w in span):
                 flaw = "span does not contain the segment"
             if flaw is None:
                 seq = tuple(cycle)
                 n = len(seq)
-                if ring and len(ring) == 2 * n and seq[0] in span:
-                    i = ring.index(seq[0])
-                    if seq == ring[i : i + n] or seq == ring[i + n : i : -1]:
+                if n == 3 == len(span):  # the span is the segment, whose steps u-v and v-w are edges
+                    if set(seq) == span and u in nbrs[w]:
                         continue
-                if not _is_hamiltonian_cycle(arcs, span, seq):
+                elif ring and len(ring) == 2 * n:
+                    if position is None:  # made at the ring's first reuse
+                        position = known[3] = dict(zip(ring, range(n)))
+                    i = position.get(seq[0])
+                    if i is not None and (seq == ring[i : i + n] or seq == ring[i + n : i : -1]):
+                        continue
+                if not _is_hamiltonian_cycle(nbrs, span, seq):
                     flaw = "cycle is not Hamiltonian in the span"
                 else:
-                    known[2] = seq * 2
+                    known[2:] = (seq * 2, None)  # a new ring, with no position dict yet
         except TypeError:
             flaw = "not a span and a cycle of vertex names"
         if flaw is not None:
@@ -416,26 +450,25 @@ def cover_defects(g: SimplicialGraph, cover: NonSplitCover) -> list[str]:
     return defects
 
 
-def _arcs(g: SimplicialGraph) -> set[tuple[str, str]]:
-    """Both orientations of every edge of g: the steps a cycle in g may take."""
-    arcs = set(g.edges)
-    arcs.update((b, a) for a, b in g.edges)
-    return arcs
-
-
 def _is_hamiltonian_cycle(
-    arcs: set[tuple[str, str]], members: AbstractSet[str], cycle: Sequence[str]
+    nbrs: dict[str, set[str]], members: AbstractSet[str], cycle: Sequence[str]
 ) -> bool:
-    """True iff ``cycle`` visits each of ``members`` exactly once along ``arcs``.
+    """True iff ``cycle`` visits each of ``members`` exactly once along edges of the host graph.
 
-    ``arcs`` holds both orientations of every edge of the host graph, so the
-    cycle is checked against the subgraph the host induces on ``members``
-    without building it, and its steps are looked up in one set operation.
+    ``nbrs`` maps each host vertex to the set of its neighbours, and
+    ``members`` holds host vertices only, so the cycle is checked against
+    the subgraph the host induces on ``members`` without building it: each
+    step, the closing one included, is one set lookup.
     """
-    seq = list(cycle)
+    seq = tuple(cycle)
     if len(seq) < 3 or len(seq) != len(members) or set(seq) != members:
         return False
-    return arcs.issuperset(zip(seq, seq[1:] + seq[:1]))
+    prev = seq[-1]
+    for x in seq:
+        if x not in nbrs[prev]:
+            return False
+        prev = x
+    return True
 
 
 def verify_cover(g: SimplicialGraph, cover: NonSplitCover) -> bool:

@@ -375,22 +375,47 @@ class TestUnreadableInput:
         assert run(capsys, ["split", "-"], path.read_bytes(), monkeypatch) == plain
 
 
+class TestEmit:
+    def test_strings_are_written_whole_and_chunks_as_they_come(self, monkeypatch):
+        from raagsplit.cli import _emit
+
+        writes = []
+        monkeypatch.setattr(sys, "stdout", io.StringIO())
+        monkeypatch.setattr(sys.stdout, "write", writes.append)
+        _emit("check pass")
+        _emit("ends in a newline\n")
+        _emit(iter(['{"a": ', "true}"]))
+        assert writes == ["check pass", "\n", "ends in a newline\n", '{"a": ', "true}", "\n"]
+
+
 class TestClosedPipe:
-    def test_reader_closing_stdout_exits_141_quietly(self, tmp_path):
-        # J of a 10^4-vertex path is far more than a pipe holds, so the write fails once the
-        # reader is gone; a shell reports a process killed by SIGPIPE as 141
-        path = tmp_path / "path.txt"
-        path.write_text("".join(f"v{i} v{i + 1}\n" for i in range(9999)))
+    @staticmethod
+    def run_and_close(tmp_path, cmd, edges):
+        """Exit code and stderr of ``raag cmd`` on ``edges`` once its reader takes 100 bytes and leaves."""
+        path = tmp_path / "graph.txt"
+        path.write_text("".join(f"{u} {v}\n" for u, v in edges))
         code = "import sys; sys.path.insert(0, sys.argv.pop(1)); from raagsplit.cli import entry; entry()"
         with subprocess.Popen(
-            [sys.executable, "-S", "-c", code, str(SRC), "jsj", str(path)],
+            [sys.executable, "-S", "-c", code, str(SRC), cmd, str(path)],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
         ) as proc:
             assert len(proc.stdout.read(100)) == 100
             proc.stdout.close()
             err = proc.stderr.read()
-        assert (proc.returncode, err) == (141, b"")
+        return proc.returncode, err
+
+    def test_reader_closing_stdout_exits_141_quietly(self, tmp_path):
+        # J of a 10^4-vertex path is far more than a pipe holds, so the write fails once the
+        # reader is gone; a shell reports a process killed by SIGPIPE as 141
+        edges = [(f"v{i}", f"v{i + 1}") for i in range(9999)]
+        assert self.run_and_close(tmp_path, "jsj", edges) == (141, b"")
+
+    def test_reader_closing_stdout_of_a_chunked_cover_exits_141_quietly(self, tmp_path):
+        # a 600-cycle's cover payload is 6.5 MB, written in chunks of about 64 KB: a later
+        # chunk's write fails once the reader is gone
+        edges = [(f"v{i}", f"v{(i + 1) % 600}") for i in range(600)]
+        assert self.run_and_close(tmp_path, "split", edges) == (141, b"")
 
 
 class TestExportDot:
@@ -541,11 +566,11 @@ class TestPayloadRenderer:
 
     @staticmethod
     def assert_same_bytes(report):
-        assert _payload_json(report._asdict()) == json.dumps(report_to_dict(report))
+        assert "".join(_payload_json(report._asdict())) == json.dumps(report_to_dict(report))
         for verified in (True, False):
             fields = {"z_split": report.z_split, "witness": report.witness, "verified": verified}
             expected = dict(fields, witness=witness_to_dict(report.witness))
-            assert _payload_json(fields) == json.dumps(expected)
+            assert "".join(_payload_json(fields)) == json.dumps(expected)
 
     @given(graphs(min_vertices=3, max_vertices=7, connected=True))
     @settings(max_examples=200)
@@ -573,8 +598,19 @@ class TestPayloadRenderer:
         }
         self.assert_same_bytes(SplitReport(False, "no", NonSplitCover(entries=entries)))
 
+    def test_payload_of_many_chunks(self):
+        # a 600-cycle's cover holds 600 spans and cycles of 600 names each: 6.5 MB of JSON
+        report = splits_over_z(scale_graph("cycle", 600, 1))
+        chunks = list(_payload_json(report._asdict()))
+        assert len(chunks) > 50
+        assert all(len(chunk) >= 1 << 16 for chunk in chunks[:-1])
+        assert "".join(chunks) == json.dumps(report_to_dict(report))
+
     def test_unknown_witness_rejected_as_by_the_dict_form(self):
-        for write in (witness_to_dict, lambda w: _payload_json({"z_split": "no", "witness": w})):
+        for write in (
+            witness_to_dict,
+            lambda w: "".join(_payload_json({"z_split": "no", "witness": w})),
+        ):
             with pytest.raises(GraphError, match="^unknown witness"):
                 write(("a", "b"))
 

@@ -53,7 +53,7 @@ CALLS = {
     "collapse_to_j": (collapse_to_j, "j0"),
     "report_to_dict": (report_to_dict, "report"),
     "witness_to_dict": (witness_to_dict, "witness"),
-    "_payload_json": (_payload_json, "fields"),
+    "_payload_json": (lambda fields: "".join(_payload_json(fields)), "fields"),  # every chunk
     "gog_to_dict": (gog_to_dict, "j"),
     "_gog_json": (_gog_json, "j"),
     "gog_to_dot": (gog_to_dot, "j"),

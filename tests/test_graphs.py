@@ -1,6 +1,6 @@
 import string
 import tracemalloc
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,7 +18,7 @@ from raagsplit import (
 )
 
 from raagsplit.cli import main
-from raagsplit.splitting import _arcs, _is_hamiltonian_cycle, _least_paths
+from raagsplit.splitting import _is_hamiltonian_cycle, _least_paths
 
 from conftest import (
     HUB_GRAPHS,
@@ -213,7 +213,7 @@ def least_path(g, u, w, v):
 
 def is_hamiltonian(g, seq):
     """The cover checker's cycle test, on the whole of g."""
-    return _is_hamiltonian_cycle(_arcs(g), set(g.vertices), seq)
+    return _is_hamiltonian_cycle({x: set(g.neighbors(x)) for x in g.vertices}, set(g.vertices), seq)
 
 
 class TestShortestPathAvoiding:
@@ -381,3 +381,10 @@ def test_two_edge_segments_square(square):
         ("b", "a", "d"),
         ("b", "c", "d"),
     ]
+
+
+@given(graphs(min_vertices=0, max_vertices=8))
+@settings(max_examples=300)
+def test_two_edge_segments_match_a_sort_of_every_neighbour_pair(g):
+    pairs = [(u, v, w) for v in g.vertices for u, w in combinations(g.neighbors(v), 2)]
+    assert two_edge_segments(g) == sorted(pairs)

@@ -1,4 +1,5 @@
 import random
+from collections.abc import Mapping
 from itertools import combinations
 
 import pytest
@@ -458,6 +459,27 @@ class TestVerifyCover:
             "entries are not all keyed by segments of vertex names",
         ]
 
+    def test_unhashable_keys_are_a_defect(self, square):
+        pairs = [(list(seg), entry) for seg, entry in nonsplit_cover(square).entries.items()]
+
+        class ListKeyed(Mapping):
+            def __getitem__(self, key):
+                for seg, entry in pairs:
+                    if seg == key:
+                        return entry
+                raise KeyError(key)
+
+            def __iter__(self):
+                return (seg for seg, _ in pairs)
+
+            def __len__(self):
+                return len(pairs)
+
+        assert cover_defects(square, NonSplitCover(entries=ListKeyed())) == [
+            *(f"missing segment {seg}" for seg in two_edge_segments(square)),
+            "entries are not all keyed by segments of vertex names",
+        ]
+
     @pytest.mark.parametrize("entries", [None, 5, "abc", []], ids=["none", "int", "str", "list"])
     def test_entries_not_a_mapping_are_a_defect(self, square, entries):
         assert cover_defects(square, NonSplitCover(entries=entries)) == [
@@ -557,8 +579,38 @@ def mutate(g, entries, data):
     entries[key] = (delta, cycle)
 
 
+class EntriesView(Mapping):
+    """A mapping that is not a dict: the entries of a dict, read through ``__getitem__`` and ``__iter__``."""
+
+    def __init__(self, entries):
+        self._entries = entries
+
+    def __getitem__(self, key):
+        return self._entries[key]
+
+    def __iter__(self):
+        return iter(self._entries)
+
+    def __len__(self):
+        return len(self._entries)
+
+
+def assert_order_free(g, entries, data):
+    """``cover_defects`` of ``entries`` matches the reference, and so it does re-inserted in a
+    drawn order and behind a mapping that is not a dict."""
+    expected = cover_defects(g, NonSplitCover(entries=entries))
+    assert expected == induced_cover_defects(g, NonSplitCover(entries=entries))
+    order = data.draw(st.permutations(list(entries)))
+    assert cover_defects(g, NonSplitCover(entries={key: entries[key] for key in order})) == expected
+    assert cover_defects(g, NonSplitCover(entries=EntriesView(entries))) == expected
+
+
 class TestCoverDefectsDifferential:
-    """``cover_defects`` against its first formulation, which built an induced subgraph per entry."""
+    """``cover_defects`` against its first formulation, which built an induced subgraph per entry.
+
+    Each mutated cover is checked as built, in a drawn key order, and behind a mapping that is
+    not a dict: only a dict keyed by the segments in order is walked without a sort.
+    """
 
     @given(graphs(min_vertices=3, max_vertices=7, connected=True), st.data())
     @settings(max_examples=300)
@@ -567,8 +619,7 @@ class TestCoverDefectsDifferential:
         for _ in range(data.draw(st.integers(min_value=0, max_value=3))):
             if entries:
                 mutate(g, entries, data)
-        cover = NonSplitCover(entries=entries)
-        assert cover_defects(g, cover) == induced_cover_defects(g, cover)
+        assert_order_free(g, entries, data)
 
     # covers whose entries share spans and repeat one cycle from other starts, so most
     # entries meet the comparison with an already checked cycle instead of a full check
@@ -580,8 +631,7 @@ class TestCoverDefectsDifferential:
         entries = dict(nonsplit_cover(g).entries)
         for _ in range(data.draw(st.integers(min_value=0, max_value=3))):
             mutate(g, entries, data)
-        cover = NonSplitCover(entries=entries)
-        assert cover_defects(g, cover) == induced_cover_defects(g, cover)
+        assert_order_free(g, entries, data)
 
     @given(graphs(min_vertices=3, max_vertices=7, connected=True), st.data())
     @settings(max_examples=60)
@@ -651,9 +701,9 @@ class TestCoverDefectsDifferential:
         check = raagsplit.splitting._is_hamiltonian_cycle
         calls = []
 
-        def counted(arcs, members, cycle):
+        def counted(nbrs, members, cycle):
             calls.append(cycle)
-            return check(arcs, members, cycle)
+            return check(nbrs, members, cycle)
 
         monkeypatch.setattr(raagsplit.splitting, "_is_hamiltonian_cycle", counted)
         g = scale_graph("cycle", 300, 1)
@@ -669,6 +719,48 @@ class TestCoverDefectsDifferential:
         cover = NonSplitCover(entries=entries)
         expected = [f"entry {seg}: cycle is not Hamiltonian in the span"]
         assert cover_defects(g, cover) == expected == induced_cover_defects(g, cover)
+
+    def test_a_library_cover_is_checked_without_a_sort(self, monkeypatch):
+        import raagsplit.splitting
+
+        def no_sort(*args, **kwargs):
+            raise AssertionError("the cover's items were sorted")
+
+        g = scale_graph("grid", 300, 1)
+        entries = nonsplit_cover(g).entries
+        monkeypatch.setattr(raagsplit.splitting, "sorted", no_sort, raising=False)
+        assert cover_defects(g, NonSplitCover(entries=entries)) == []
+        last, *rest = entries  # out of order, so the items are sorted
+        with pytest.raises(AssertionError, match="sorted"):
+            cover_defects(g, NonSplitCover(entries={key: entries[key] for key in (*rest, last)}))
+
+    # a dict subclass or another mapping may list the segments in order whatever its items
+    # hold, so only a plain dict is walked in its own order
+    @pytest.mark.parametrize("kind", ["dict subclass", "mapping"])
+    @pytest.mark.parametrize("fault", ["foreign key", "broken cycle"])
+    def test_segments_listed_in_order_do_not_hide_the_items(self, square, kind, fault):
+        segments = two_edge_segments(square)
+        held = dict(nonsplit_cover(square).entries)
+        seg = segments[1]
+        if fault == "foreign key":
+            held[(seg[0], seg[1], "zz")] = held.pop(seg)
+        else:
+            delta, (v, a, b, *rest) = held[seg]
+            held[seg] = (delta, (v, b, a, *rest))  # v-b is no edge of the square
+        expected = induced_cover_defects(square, NonSplitCover(entries=held))
+        assert expected
+
+        class ListsSegments(dict if kind == "dict subclass" else EntriesView):
+            def __iter__(self):
+                return iter(segments)
+
+            if kind == "mapping":
+                def items(self):
+                    return held.items()
+
+        entries = ListsSegments(held)
+        assert list(entries) == segments
+        assert cover_defects(square, NonSplitCover(entries=entries)) == expected
 
 
 class TestAmalgamDefects:
