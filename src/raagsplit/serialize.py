@@ -28,7 +28,7 @@ def witness_to_dict(w: Witness) -> dict:
             "kind": "cover",
             "cover": [
                 {"segment": seg, "delta": delta, "cycle": cycle}  # json writes tuples as arrays
-                for seg, (delta, cycle) in sorted(w.entries.items())
+                for seg, (delta, cycle) in w.entries.items()
             ],
         }
     if kind == "small_case":
@@ -90,7 +90,7 @@ def _payload_json(fields: dict) -> Iterator[str]:
             sep = ""
             size = 0
             last: object = parts  # the entry span that ``span`` spells; none yet
-            for seg, (delta, cycle) in sorted(value.entries.items()):
+            for seg, (delta, cycle) in value.entries.items():
                 if delta is not last:
                     span, last = _names_json(delta), delta
                 text = _names_json(cycle)

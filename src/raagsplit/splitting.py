@@ -11,9 +11,8 @@ cover's verifier live here too.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Mapping
-from typing import AbstractSet, Collection, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import AbstractSet, Collection, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .blocks import _lowpoint_scan, cut_vertices, is_biconnected
 from .graphs import GraphError, SimplicialGraph, two_edge_segments
@@ -39,9 +38,9 @@ class ZSplitWitness(NamedTuple):
 class NonSplitCover(NamedTuple):
     """Per two-edge segment: an induced subgraph and its Hamiltonian cycle.
 
-    Keys are normalized segments (u, v, w) with u < w, in sorted order as the
-    library builds them; values are the sorted span and the cycle witness
-    starting at the segment's middle vertex.
+    Keys are normalized segments (u, v, w) with u < w, sorted as the library
+    builds them and written in the mapping's own order; values are the
+    sorted span and the cycle witness starting at the segment's middle vertex.
     """
 
     entries: dict[tuple[str, str, str], tuple[tuple[str, ...], tuple[str, ...]]]
@@ -102,12 +101,12 @@ def _component_avoiding(g: SimplicialGraph, start: str, avoid: Optional[str]) ->
     """The vertices of g minus ``avoid`` that ``start`` reaches."""
     seen = {start}
     adj = g._adj
-    queue = deque([start])
-    while queue:
-        for y in adj[queue.popleft()]:
+    comp = [start]
+    for x in comp:  # the list grows as it is read, so it is the search's queue too
+        for y in adj[x]:
             if y != avoid and y not in seen:
                 seen.add(y)
-                queue.append(y)
+                comp.append(y)
     return seen
 
 
@@ -348,23 +347,23 @@ def cover_defects(g: SimplicialGraph, cover: NonSplitCover) -> list[str]:
 
     A cover certifies "no Z-splitting" only on a connected graph with at
     least three vertices, so any other graph is a defect by itself; one
-    search over neighbour sets built from ``g.edges`` tells.  A plain dict
-    whose keys are g's two-edge segments in sorted order, as the library
-    builds it, is walked in its own order; any other mapping, key order or
-    key set has its items sorted, and its missing and foreign segments
-    found, first.  Each distinct span, keyed by its value, is made a set and
-    judged once, and an entry whose span is the previous entry's span tuple
-    itself reuses that record without hashing it again.  A cycle has each
-    step looked up in the neighbour sets, unless it is the last checked
-    cycle of its span read from another start or in the other direction: a
-    position dict, made when that cycle is first met again, finds its start
-    there, and since it takes the same steps its entry costs one comparison.
-    A span of three vertices is the segment u-v-w itself, whose steps u-v
-    and v-w are edges, so a cycle that spells it needs only u ~ w; a cycle
-    that fails that test is checked in full.
-    The cost is O(n + m) plus the size of the cover, and no subgraph is
-    built per entry.  A malformed entry is a defect of its own, and so are
-    entries that are not a mapping.
+    search over neighbour sets built from ``g.edges`` tells.  Each of g's
+    two-edge segments is looked up through ``entries.get`` and its entry
+    checked, so no order, ``keys()`` or ``items()`` can hide a segment.
+    Only when ``len(entries)`` differs from the number found are the keys
+    of ``items()`` sorted and searched for foreign ones.  Each distinct
+    span, keyed by its value, is made a set and judged once; an entry whose
+    span is the very tuple of the entry before reuses that record unhashed.
+    A cycle has each step looked up in the neighbour sets, unless it is its
+    span's last checked cycle read from another start or direction: a
+    position dict, made when that cycle is first met again, finds the
+    start, and the entry costs one comparison.  A three-vertex span is the
+    segment u-v-w itself, whose steps u-v and v-w are edges, so a cycle
+    spelling it needs only u ~ w; one that fails that test is checked in
+    full.  The cost is O(n + m) plus the size of the cover, and no subgraph
+    is built per entry.  Missing segments are listed first, then the other
+    defects in key order.  A malformed entry is a defect of its own, and so
+    are entries that are not a mapping.
     """
     nbrs: dict[str, set[str]] = {x: set() for x in g.vertices}
     for a, b in g.edges:
@@ -383,28 +382,20 @@ def cover_defects(g: SimplicialGraph, cover: NonSplitCover) -> list[str]:
     if not isinstance(entries, Mapping):
         return ["cover entries are not a mapping of segments"]
     vertices = set(nbrs)
-    defects = []
     ordered = two_edge_segments(g)  # sorted, with no repeats
-    foreign: Collection = ()
-    if type(entries) is dict and list(entries) == ordered:  # exactly the segments, in order
-        items: Iterable = entries.items()
-    else:
-        segments = set(ordered)
-        if not segments <= entries.keys():
-            defects = [f"missing segment {seg}" for seg in ordered if seg not in entries]
-        try:
-            items = sorted(entries.items())
-            foreign = {seg for seg, _ in items if seg not in segments}
-        except TypeError:  # keys of several types do not sort, or a key does not hash
-            return [*defects, "entries are not all keyed by segments of vertex names"]
+    missing = []
+    flawed = []  # (key, flaw) in key order
+    absent = object()
+    get = entries.get
     # span value -> its set, its defect or None, its last checked cycle written twice, and
     # each name's position in that cycle once it is reused; keyed by value, so nothing the
     # builder shares is trusted
     spans: dict[tuple, list] = {}
     last: object = spans  # the span tuple that ``known`` belongs to; none yet
-    for seg, entry in items:
-        if foreign and seg in foreign:
-            defects.append(f"entry {seg}: not a two-edge segment of the graph")
+    for seg in ordered:
+        entry = get(seg, absent)
+        if entry is absent:
+            missing.append(f"missing segment {seg}")
             continue
         try:
             try:
@@ -446,8 +437,16 @@ def cover_defects(g: SimplicialGraph, cover: NonSplitCover) -> list[str]:
         except TypeError:
             flaw = "not a span and a cycle of vertex names"
         if flaw is not None:
-            defects.append(f"entry {seg}: {flaw}")
-    return defects
+            flawed.append((seg, flaw))
+    if len(entries) != len(ordered) - len(missing):  # some key is not a segment
+        segments = set(ordered)
+        try:
+            keys = sorted(key for key, _ in entries.items())
+            flawed += [(key, "not a two-edge segment of the graph") for key in keys if key not in segments]
+            flawed.sort()  # merged in key order
+        except TypeError:  # keys of several types do not sort, or a key does not hash
+            return [*missing, "entries are not all keyed by segments of vertex names"]
+    return [*missing, *(f"entry {seg}: {flaw}" for seg, flaw in flawed)]
 
 
 def _is_hamiltonian_cycle(

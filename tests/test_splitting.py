@@ -480,6 +480,20 @@ class TestVerifyCover:
             "entries are not all keyed by segments of vertex names",
         ]
 
+    def test_items_that_hide_a_segment_do_not_hide_its_entry(self, square):
+        held = dict(nonsplit_cover(square).entries)
+        seg = ("a", "d", "c")
+        delta, (v, a, b, *rest) = held[seg]
+        held[seg] = (delta, (v, b, a, *rest))  # v-b is no edge of the square
+
+        class HidesOne(EntriesView):  # keys() and __getitem__ hold the segment, items() not
+            def items(self):
+                return [(key, entry) for key, entry in held.items() if key != seg]
+
+        assert cover_defects(square, NonSplitCover(entries=HidesOne(held))) == [
+            "entry ('a', 'd', 'c'): cycle is not Hamiltonian in the span"
+        ]
+
     @pytest.mark.parametrize("entries", [None, 5, "abc", []], ids=["none", "int", "str", "list"])
     def test_entries_not_a_mapping_are_a_defect(self, square, entries):
         assert cover_defects(square, NonSplitCover(entries=entries)) == [
@@ -609,7 +623,7 @@ class TestCoverDefectsDifferential:
     """``cover_defects`` against its first formulation, which built an induced subgraph per entry.
 
     Each mutated cover is checked as built, in a drawn key order, and behind a mapping that is
-    not a dict: only a dict keyed by the segments in order is walked without a sort.
+    not a dict: each segment is looked up whatever the order or type, so the defects are the same.
     """
 
     @given(graphs(min_vertices=3, max_vertices=7, connected=True), st.data())
@@ -729,13 +743,12 @@ class TestCoverDefectsDifferential:
         g = scale_graph("grid", 300, 1)
         entries = nonsplit_cover(g).entries
         monkeypatch.setattr(raagsplit.splitting, "sorted", no_sort, raising=False)
-        assert cover_defects(g, NonSplitCover(entries=entries)) == []
-        last, *rest = entries  # out of order, so the items are sorted
-        with pytest.raises(AssertionError, match="sorted"):
-            cover_defects(g, NonSplitCover(entries={key: entries[key] for key in (*rest, last)}))
+        # the segments are looked up in g's order, so neither key order nor mapping type sorts
+        for held in (entries, dict(reversed(entries.items())), EntriesView(entries)):
+            assert cover_defects(g, NonSplitCover(entries=held)) == []
 
     # a dict subclass or another mapping may list the segments in order whatever its items
-    # hold, so only a plain dict is walked in its own order
+    # hold: each segment is still looked up, and a foreign key among the items still found
     @pytest.mark.parametrize("kind", ["dict subclass", "mapping"])
     @pytest.mark.parametrize("fault", ["foreign key", "broken cycle"])
     def test_segments_listed_in_order_do_not_hide_the_items(self, square, kind, fault):
