@@ -21,16 +21,17 @@ _PUBLIC = {
     ),
     "decompositions": (
         "CyclicGroup", "GoGEdge", "GoGVertex", "GraphOfGroups", "RaagGroup", "build_j0",
-        "collapse_to_j", "is_reduced", "jsj",
+        "collapse_to_j", "jsj",
     ),
     "presentations": (
         "Presentation", "abelianization", "check_coverage", "check_euler", "emit_presentation",
         "raag_presentation", "smith_normal_form",
     ),
     "splitting": (
-        "NonSplitCover", "SmallCaseWitness", "SplitReport", "ZSplitWitness", "amalgam_defects",
-        "cover_defects", "nonsplit_cover", "splits_over_z", "verify_cover", "z_split_witness",
+        "NonSplitCover", "SmallCaseWitness", "SplitReport", "ZSplitWitness", "nonsplit_cover",
+        "splits_over_z", "z_split_witness",
     ),
+    "certify": ("amalgam_defects", "cover_defects", "is_reduced", "verify_cover"),
 }
 _HOME = {name: module for module, names in _PUBLIC.items() for name in names}
 _SUBMODULES = (*_PUBLIC, "cli", "serialize")

@@ -10,8 +10,7 @@ text (missing file, directory, invalid bytes, closed stdin), 3 empty graph,
 4 decomposition precondition unmet (disconnected or fewer than three vertices;
 ``check`` works at any size otherwise), 5 census range error, 1 internal check
 failure, 141 stdout closed by its reader (128 + SIGPIPE, as a shell reports).
-``witness`` re-verifies through the library's ``amalgam_defects`` and
-``cover_defects``.
+``witness`` re-verifies through ``raagsplit.certify``.
 """
 
 from __future__ import annotations
@@ -118,9 +117,10 @@ def cmd_jsj(args: argparse.Namespace) -> int:
 
 
 def cmd_witness(args: argparse.Namespace) -> int:
+    from .certify import amalgam_defects, cover_defects
     from .graphs import GraphError
     from .serialize import _payload_json
-    from .splitting import ZSplitWitness, amalgam_defects, cover_defects, splits_over_z
+    from .splitting import splits_over_z
 
     g = _load_graph(args.file, args.g6)
     if _is_empty(g):
@@ -129,14 +129,15 @@ def cmd_witness(args: argparse.Namespace) -> int:
         raise GraphError("witnesses are produced for graphs with at least three vertices")
     report = splits_over_z(g)
     witness = report.witness
-    defects = amalgam_defects if isinstance(witness, ZSplitWitness) else cover_defects
+    defects = amalgam_defects if witness._kind == "amalgam" else cover_defects
     verified = not defects(g, witness)
     _emit(_payload_json({"z_split": report.z_split, "witness": witness, "verified": verified}))
     return EXIT_OK if verified else EXIT_CHECK_FAILED
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    from .decompositions import is_reduced, jsj
+    from .certify import is_reduced
+    from .decompositions import jsj
     from .presentations import abelianization, check_coverage, check_euler, emit_presentation
 
     g = _load_graph(args.file, args.g6)

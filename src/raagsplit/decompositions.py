@@ -207,21 +207,6 @@ def collapse_to_j(j0: GraphOfGroups) -> GraphOfGroups:
     return GraphOfGroups(vertices=tuple(vertices), edges=tuple(edges), source=j0.source)
 
 
-def _proper_in(edge_group: CyclicGroup, vertex_group: GroupDescriptor) -> bool:
-    if isinstance(vertex_group, RaagGroup):
-        return edge_group.generator in vertex_group.vertices and len(vertex_group.vertices) >= 2
-    return False  # cyclic in cyclic is never proper
-
-
-def is_reduced(gog: GraphOfGroups) -> bool:
-    """Every vertex of valence below three has all incident edge groups proper in it."""
-    valence = Counter(end for e in gog.edges for end in e.ends)
-    group = {v.id: v.group for v in gog.vertices}
-    return all(
-        valence[end] >= 3 or _proper_in(e.group, group[end]) for e in gog.edges for end in e.ends
-    )
-
-
 def jsj(g: SimplicialGraph) -> GraphOfGroups:
     """The reduced decomposition, ``collapse_to_j(build_j0(g))``, built without J0."""
     return _decompose(g, True)

@@ -5,17 +5,15 @@ or more vertices A(g) splits over Z iff g fails to be biconnected.  Both
 verdicts come with machine-checkable witnesses: an amalgam decomposition of the
 defining graph over a single shared vertex when a splitting exists, and a cover
 of the two-edge segments by induced subgraphs with Hamiltonian cycles when none
-does.  The searches behind both witnesses and the cycle check behind the
-cover's verifier live here too.
+does.  The searches behind both witnesses live here too.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from typing import AbstractSet, Collection, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Collection, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .blocks import _lowpoint_scan, cut_vertices, is_biconnected
-from .graphs import GraphError, SimplicialGraph, two_edge_segments
+from .graphs import GraphError, SimplicialGraph
 
 Z_SPLIT_YES = "yes"
 Z_SPLIT_NO = "no"
@@ -315,164 +313,6 @@ def _chain_entries(
             mids[v] = (span, chain[i::-1] + inner + chain[:i:-1])
         else:  # down to b, across to a, up to p
             mids[v] = (span, chain[i:] + inner + chain[:i])
-
-
-def amalgam_defects(g: SimplicialGraph, w: ZSplitWitness) -> list[str]:
-    """All reasons ``w`` fails to certify g as an amalgam; empty means the witness is valid.
-
-    Valid means: the sides are proper, cover g, meet exactly in ``w.vertex``,
-    and no edge joins the two sides away from that vertex, so g is the union
-    of the two induced subgraphs.  A malformed witness is a defect of its own.
-    """
-    try:
-        s1, s2, allv = set(w.side1), set(w.side2), set(g.vertices)
-        only1, only2 = s1 - {w.vertex}, s2 - {w.vertex}
-    except TypeError:
-        return ["witness is not two sides and a vertex of vertex names"]
-    defects = []
-    if s1 | s2 != allv:
-        defects.append("sides do not cover exactly the graph's vertices")
-    if s1 & s2 != {w.vertex}:
-        defects.append(f"sides do not meet in exactly {w.vertex!r}")
-    if s1 == allv or s2 == allv:
-        defects.append("a side is the whole graph")
-    for a, b in g.edges:
-        if (a in only1 and b in only2) or (a in only2 and b in only1):
-            defects.append(f"edge {(a, b)} joins the sides away from {w.vertex!r}")
-    return defects
-
-
-def cover_defects(g: SimplicialGraph, cover: NonSplitCover) -> list[str]:
-    """All reasons ``cover`` fails to certify g; empty means the cover is valid.
-
-    A cover certifies "no Z-splitting" only on a connected graph with at
-    least three vertices, so any other graph is a defect by itself; one
-    search over neighbour sets built from ``g.edges`` tells.  Each of g's
-    two-edge segments is looked up through ``entries.get`` and its entry
-    checked, so no order, ``keys()`` or ``items()`` can hide a segment.
-    Only when ``len(entries)`` differs from the number found are the keys
-    of ``items()`` sorted and searched for foreign ones.  Each distinct
-    span, keyed by its value, is made a set and judged once; an entry whose
-    span is the very tuple of the entry before reuses that record unhashed.
-    A cycle has each step looked up in the neighbour sets, unless it is its
-    span's last checked cycle read from another start or direction: a
-    position dict, made when that cycle is first met again, finds the
-    start, and the entry costs one comparison.  A three-vertex span is the
-    segment u-v-w itself, whose steps u-v and v-w are edges, so a cycle
-    spelling it needs only u ~ w; one that fails that test is checked in
-    full.  The cost is O(n + m) plus the size of the cover, and no subgraph
-    is built per entry.  Missing segments are listed first, then the other
-    defects in key order.  A malformed entry is a defect of its own, and so
-    are entries that are not a mapping.
-    """
-    nbrs: dict[str, set[str]] = {x: set() for x in g.vertices}
-    for a, b in g.edges:
-        nbrs[a].add(b)
-        nbrs[b].add(a)
-    reached = set(g.vertices[:1])  # one search from the first vertex, if there is one
-    stack = list(reached)
-    for x in stack:  # the list grows as it is read
-        for y in nbrs[x]:
-            if y not in reached:
-                reached.add(y)
-                stack.append(y)
-    if len(nbrs) < 3 or len(reached) != len(nbrs):
-        return ["graph is not connected with at least three vertices"]
-    entries = cover.entries
-    if not isinstance(entries, Mapping):
-        return ["cover entries are not a mapping of segments"]
-    vertices = set(nbrs)
-    ordered = two_edge_segments(g)  # sorted, with no repeats
-    missing = []
-    flawed = []  # (key, flaw) in key order
-    absent = object()
-    get = entries.get
-    # span value -> its set, its defect or None, its last checked cycle written twice, and
-    # each name's position in that cycle once it is reused; keyed by value, so nothing the
-    # builder shares is trusted
-    spans: dict[tuple, list] = {}
-    last: object = spans  # the span tuple that ``known`` belongs to; none yet
-    for seg in ordered:
-        entry = get(seg, absent)
-        if entry is absent:
-            missing.append(f"missing segment {seg}")
-            continue
-        try:
-            try:
-                delta, cycle = entry
-            except ValueError:  # not two items: tuple(None) below reports it
-                delta = None
-            if delta is not last:
-                key = tuple(delta)  # type: ignore
-                record = spans.get(key)
-                if record is None:
-                    span = set(key)
-                    flaw = (
-                        "span leaves the graph" if not span <= vertices
-                        else "span has fewer than three vertices" if len(key) < 3
-                        else None
-                    )
-                    record = spans[key] = [span, flaw, (), None]
-                known, last = record, key
-            span, flaw, ring, position = known
-            u, v, w = seg
-            if flaw is None and not (u in span and v in span and w in span):
-                flaw = "span does not contain the segment"
-            if flaw is None:
-                seq = tuple(cycle)
-                n = len(seq)
-                if n == 3 == len(span):  # the span is the segment, whose steps u-v and v-w are edges
-                    if set(seq) == span and u in nbrs[w]:
-                        continue
-                elif ring and len(ring) == 2 * n:
-                    if position is None:  # made at the ring's first reuse
-                        position = known[3] = dict(zip(ring, range(n)))
-                    i = position.get(seq[0])
-                    if i is not None and (seq == ring[i : i + n] or seq == ring[i + n : i : -1]):
-                        continue
-                if not _is_hamiltonian_cycle(nbrs, span, seq):
-                    flaw = "cycle is not Hamiltonian in the span"
-                else:
-                    known[2:] = (seq * 2, None)  # a new ring, with no position dict yet
-        except TypeError:
-            flaw = "not a span and a cycle of vertex names"
-        if flaw is not None:
-            flawed.append((seg, flaw))
-    if len(entries) != len(ordered) - len(missing):  # some key is not a segment
-        segments = set(ordered)
-        try:
-            keys = sorted(key for key, _ in entries.items())
-            flawed += [(key, "not a two-edge segment of the graph") for key in keys if key not in segments]
-            flawed.sort()  # merged in key order
-        except TypeError:  # keys of several types do not sort, or a key does not hash
-            return [*missing, "entries are not all keyed by segments of vertex names"]
-    return [*missing, *(f"entry {seg}: {flaw}" for seg, flaw in flawed)]
-
-
-def _is_hamiltonian_cycle(
-    nbrs: dict[str, set[str]], members: AbstractSet[str], cycle: Sequence[str]
-) -> bool:
-    """True iff ``cycle`` visits each of ``members`` exactly once along edges of the host graph.
-
-    ``nbrs`` maps each host vertex to the set of its neighbours, and
-    ``members`` holds host vertices only, so the cycle is checked against
-    the subgraph the host induces on ``members`` without building it: each
-    step, the closing one included, is one set lookup.
-    """
-    seq = tuple(cycle)
-    if len(seq) < 3 or len(seq) != len(members) or set(seq) != members:
-        return False
-    prev = seq[-1]
-    for x in seq:
-        if x not in nbrs[prev]:
-            return False
-        prev = x
-    return True
-
-
-def verify_cover(g: SimplicialGraph, cover: NonSplitCover) -> bool:
-    """True iff ``cover_defects`` finds nothing wrong with ``cover``."""
-    return not cover_defects(g, cover)
 
 
 def splits_over_z(g: SimplicialGraph) -> SplitReport:

@@ -123,6 +123,22 @@ class TestLazyRoot:
         code = "import raagsplit\nprint(raagsplit.splitting.__name__, raagsplit.cli.__name__)"
         assert fresh(code) == "raagsplit.splitting raagsplit.cli\n"
 
+    def test_certify_loads_only_graphs(self):
+        # the checkers import no producer, so they share no code with what they check
+        code = (
+            "import raagsplit.certify\n"
+            "print(*sorted(m for m in sys.modules if m == 'json' or m.partition('.')[0] == 'raagsplit'))"
+        )
+        assert fresh(code).split() == ["raagsplit", "raagsplit.certify", "raagsplit.graphs"]
+
+    def test_each_name_is_defined_in_its_home(self):
+        # a stale table entry, such as one naming a module that only re-exports the name, fails here
+        strays = [
+            name for name in raagsplit.__all__
+            if getattr(raagsplit, name).__module__ != f"raagsplit.{raagsplit._HOME[name]}"
+        ]
+        assert strays == []
+
     def test_unknown_name_is_an_attribute_error(self):
         code = "import raagsplit\ntry:\n    raagsplit.nope\nexcept AttributeError as exc:\n    print(exc)"
         assert fresh(code) == "module 'raagsplit' has no attribute 'nope'\n"

@@ -758,7 +758,8 @@ class TestImportSet:
         "raagsplit", "raagsplit.blocks", "raagsplit.cli", "raagsplit.decompositions", "raagsplit.graphs",
     ]
     # the verdict commands write no decomposition and their payload without json, and the
-    # decomposition commands no verdict
+    # decomposition commands no verdict; only witness and check run a checker, so only they
+    # load certify
     VERDICT = [
         "raagsplit", "raagsplit.blocks", "raagsplit.cli", "raagsplit.graphs",
         "raagsplit.serialize", "raagsplit.splitting",
@@ -770,11 +771,11 @@ class TestImportSet:
             ("--help", ["raagsplit", "raagsplit.cli"]),
             ("no-such-command", ["raagsplit", "raagsplit.cli"]),
             ("split FILE", VERDICT),
-            ("witness FILE", VERDICT),
+            ("witness FILE", [*VERDICT, "raagsplit.certify"]),
             ("jsj FILE", [*CORE, "raagsplit.serialize"]),
             ("jsj FILE --format=dot", [*CORE, "raagsplit.serialize"]),
             ("export-dot FILE --stage=j", [*CORE, "raagsplit.serialize"]),
-            ("check FILE", [*CORE, "raagsplit.presentations"]),
+            ("check FILE", [*CORE, "raagsplit.certify", "raagsplit.presentations"]),
             # the census counts splittings as connected less biconnected, so builds no witness
             ("census --n 3", [*CORE, "json"]),
         ],

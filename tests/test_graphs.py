@@ -17,8 +17,9 @@ from raagsplit import (
     two_edge_segments,
 )
 
+from raagsplit.certify import _is_hamiltonian_cycle
 from raagsplit.cli import main
-from raagsplit.splitting import _is_hamiltonian_cycle, _least_paths
+from raagsplit.splitting import _least_paths
 
 from conftest import (
     HUB_GRAPHS,
