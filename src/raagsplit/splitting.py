@@ -114,17 +114,18 @@ def nonsplit_cover(g: SimplicialGraph) -> NonSplitCover:
     For each two-edge segment u-v-w the least shortest u-w path avoiding v
     closes up with the segment into a Hamiltonian cycle of the induced
     subgraph it spans; biconnectivity guarantees the path exists.  A path of
-    one or two edges is read off g's neighbour sets: it is (u, w) when u ~ w,
-    and otherwise (u, x, w) for the least common neighbour x other than v.
-    On small or dense graphs that is almost every path.  Every vertex of
-    degree 2 lies inside a chain: a run of one or more degree-2 vertices
-    between two ends of other degree.  Its path is forced: down the chain to
-    one end, along the least shortest path between the ends, and up the
-    chain to its other neighbour.  That middle path is found once per chain
-    and direction, each cycle is built from slices, and a graph that is one
-    cycle needs no search and no neighbour set.  Only a target three or more
-    steps away is searched, from both ends in g - v: the search from u keeps
-    its ball for every later far neighbour w of v, and a w outside it
+    at most four edges is read off g's neighbour sets: (u, w) when u ~ w,
+    else the least (u, x, w), (u, x, y, w) or (u, x, y, z, w) avoiding v.
+    On small, dense or grid-like graphs that is almost every path.  Every
+    vertex of degree 2 lies inside a chain: a run of one or more degree-2
+    vertices between two ends of other degree.  Its path is forced: down the
+    chain to one end, along the least shortest path between the ends, and up
+    the chain to its other neighbour.  That middle path is found once per
+    chain and direction, each cycle is built from slices, and a graph that
+    is one cycle needs no search and no neighbour set.  Only a target five
+    or more steps away is searched, with the later targets of its u and v
+    that are three or more away, from both ends in g - v: the search from u
+    keeps its ball for every later far neighbour w of v, and a w outside it
     searches back until the two balls meet, so the cost is the balls
     searched plus the size of the cover.  Entries are built in segment
     order, u over the sorted vertices, v over u's sorted neighbours and w
@@ -162,6 +163,7 @@ def _nonsplit_cover(g: SimplicialGraph) -> NonSplitCover:
                 continue
             far = []
             for w in nv[nv.index(u) + 1 :]:
+                # _short_path's first two rules, inline: a call each made K_{2,150}'s cover 30% slower
                 if w in near:  # the path is the edge u-w, and u < w
                     span = (v, u, w) if v < u else (u, v, w) if v < w else (u, w, v)
                     entries[(u, v, w)] = (span if n > 3 else whole, (v, u, w))
@@ -171,9 +173,15 @@ def _nonsplit_cover(g: SimplicialGraph) -> NonSplitCover:
                 if common:  # u-x-w for the least such x: the search's first level is adj[u]
                     cycle = (v, u, min(common), w)
                     entries[(u, v, w)] = (tuple(sorted(cycle)) if n > 4 else whole, cycle)
-                else:
+                    continue
+                # up to four edges until one target misses; it and the rest share one search
+                path = None if far else _short_path(adj, nbrs, u, v, w)
+                if path is None:
                     far.append(w)
                     entries[(u, v, w)] = None  # holds the key's place until the search
+                else:
+                    cycle = (v, *path)
+                    entries[(u, v, w)] = (tuple(sorted(cycle)) if len(cycle) < n else whole, cycle)
             if far:  # one search from u, kept for all of its far targets
                 for w, path in zip(far, _least_paths(g, u, v, far)):
                     # biconnected, so every path exists; it is simple and avoids v, so the
@@ -181,6 +189,34 @@ def _nonsplit_cover(g: SimplicialGraph) -> NonSplitCover:
                     cycle = (v, *path)  # type: ignore
                     entries[(u, v, w)] = (tuple(sorted(cycle)) if len(cycle) < n else whole, cycle)
     return NonSplitCover(entries=entries)
+
+
+def _short_path(adj: dict, nbrs: dict, u: str, v: str, w: str) -> Optional[tuple[str, ...]]:
+    """The least shortest u-w path in g minus v, w != v, if it has at most four edges, else None.
+
+    It is the path ``_least_paths`` returns, read off the neighbour sets: the
+    edge u-w, else u-x-w, u-x-y-w or u-x-y-z-w, for the least x over
+    ``adj[u]``, then the least y over ``adj[x]``, then the least z.
+    """
+    nw = nbrs[w]
+    if u in nw:
+        return (u, w)
+    nw = nw - {v}
+    common = nbrs[u] & nw
+    if common:
+        return (u, min(common), w)
+    ring = [x for x in adj[u] if x != v]
+    for x in ring:
+        common = nbrs[x] & nw
+        if common:
+            return (u, x, min(common), w)
+    for x in ring:
+        for y in adj[x]:
+            if y != v:
+                common = nbrs[y] & nw
+                if common:
+                    return (u, x, y, min(common), w)
+    return None
 
 
 def _least_paths(
@@ -300,12 +336,8 @@ def _chain_entries(
         p, v, q = chain[i - 1], chain[i], chain[i + 1]
         start, end = (a, b) if p < q else (b, a)
         if start not in middles:
-            common = nbrs[start] & nbrs[end]
-            common.discard(v)
-            inner = (  # the near-path rule of the main loop, else one search
-                () if end in nbrs[start] else (min(common),) if common
-                else tuple(next(_least_paths(g, start, v, (end,)))[1:-1])  # type: ignore  # biconnected
-            )
+            path = _short_path(g._adj, nbrs, start, v, end) or next(_least_paths(g, start, v, (end,)))
+            inner = tuple(path[1:-1])  # type: ignore  # biconnected, so the path exists
             span = chain + inner
             middles[start] = (inner, whole if len(span) == len(whole) else tuple(sorted(span)))
         inner, span = middles[start]

@@ -26,7 +26,7 @@ from raagsplit import (
     z_split_witness,
 )
 from raagsplit.cli import labeled_graphs, oracle_biconnected
-from raagsplit.splitting import _least_paths
+from raagsplit.splitting import _least_paths, _short_path
 
 from conftest import (
     exhaustive_bfs_parents,
@@ -88,6 +88,37 @@ def oracle_cover(g):
             path = parent_chain(exhaustive_bfs_parents(g, u, v), w)
             expected[(u, v, w)] = (tuple(sorted({v, *path})), (v, *path))
     return sorted(expected.items())
+
+
+def sparse_biconnected(family, n, rng):
+    """The edges of a biconnected graph on n vertices 0..n-1 with few edges, or None.
+
+    "subdivided" subdivides each edge of a random biconnected graph on 4-6
+    vertices, spreading n minus its vertex count inner vertices at random;
+    "ears" grows a cycle of 3-6 vertices by open ears of 0-3 fresh vertices
+    between two distinct old ones until it has n.
+    """
+    if family == "subdivided":
+        k = rng.randint(4, 6)
+        base = [e for e in combinations(range(k), 2) if rng.random() < 0.6]
+        named = shuffled(base, 0) if base else None
+        if named is None or len(named.vertices) < k or not is_biconnected(named):
+            return None
+        lengths = [0] * len(base)
+        for _ in range(n - k):
+            lengths[rng.randrange(len(base))] += 1
+        return subdivided(base, lengths)
+    size = rng.randint(3, 6)
+    edges = [(i, (i + 1) % size) for i in range(size)]
+    while size < n:
+        a, b = rng.sample(range(size), 2)
+        inner = list(range(size, size + min(rng.randint(0, 3), n - size)))
+        if not inner and ((a, b) in edges or (b, a) in edges):
+            continue
+        chain = [a, *inner, b]
+        edges.extend(zip(chain, chain[1:]))
+        size += len(inner)
+    return edges
 
 
 def amalgam_invariants_hold(g, w: ZSplitWitness) -> bool:
@@ -261,6 +292,24 @@ class TestNonSplitCover:
                 count += 1
                 assert list(nonsplit_cover(g).entries.items()) == oracle_cover(g)
 
+    @pytest.mark.parametrize("family", ["subdivided", "ears"])
+    def test_matches_one_full_search_per_pair_on_sparse_graphs(self, family):
+        # seeded biconnected graphs on 8-12 vertices with few edges, where many paths have
+        # three or four edges: a biconnected base graph on 4-6 vertices with each edge
+        # subdivided, or a cycle grown by random ears
+        rng = random.Random(family)
+        detours = count = 0
+        while count < 500:
+            edges = sparse_biconnected(family, rng.randint(8, 12), rng)
+            if edges is None:
+                continue
+            count += 1
+            g = shuffled(edges, rng.random())
+            entries = nonsplit_cover(g).entries
+            assert list(entries.items()) == oracle_cover(g)
+            detours += sum(len(cycle) in (5, 6) for _, cycle in entries.values())
+        assert detours > 2000
+
     def test_a_cycle_needs_no_search(self, monkeypatch):
         calls = self._count_searches(monkeypatch)
         nonsplit_cover(scale_graph("cycle", 300, 1))
@@ -274,14 +323,10 @@ class TestNonSplitCover:
         hubs = {v for v in g.vertices if len(g.neighbors(v)) != 2}
         chains = connected_components(induced_subgraph(g, set(g.vertices) - hubs))
         assert sorted(map(len, chains)) == [1, 2, 3, 4, 5, 6]
-        in_chains = [call for call in calls if call[1] not in hubs]
-        if edge:  # every middle path is the edge between the hubs
-            assert in_chains == []
-            return
-        # the lone inner vertex's middle path runs through the two-vertex chain, three
-        # steps, so it is searched; every longer chain's runs through the lone vertex
-        (lone,) = min(chains, key=len)
-        assert in_chains == [(min(hubs), lone, (max(hubs),))]
+        # every middle path is the edge between the hubs, or runs through the lone inner
+        # vertex (two steps) or, for the lone vertex's own, through the two-vertex chain
+        # (three steps): all are read off the neighbour sets
+        assert [call for call in calls if call[1] not in hubs] == []
 
     # every path is a chord of K_n, or in K_{2,40} a hub-to-hub or side-to-side detour
     @pytest.mark.parametrize("family", [*(f"K{n}" for n in range(4, 9)), "k2"])
@@ -295,6 +340,8 @@ class TestNonSplitCover:
         assert calls == []
 
     def test_a_grid_searches_only_between_opposite_ends(self, monkeypatch):
+        # two neighbours of v on one line through it are four steps apart in g - v, and
+        # two on a corner share the diagonal vertex, two steps: no path needs a search
         rows, cols = 20, 25
         at = {(r, c): r * cols + c for r in range(rows) for c in range(cols)}
         edges = [(at[r, c], at[r + dr, c + dc]) for r, c in at for dr, dc in ((0, 1), (1, 0))
@@ -303,17 +350,27 @@ class TestNonSplitCover:
         random.Random(1).shuffle(perm)
         name = [f"v{p:03d}" for p in perm]
         g = SimplicialGraph.from_edges([(name[a], name[b]) for a, b in edges])
-        # two neighbours of v on one line through it are four steps apart in g - v; two
-        # on a corner share the diagonal vertex, two steps
-        opposite = sorted(
-            (name[at[r, c]], *sorted((name[at[r - dr, c - dc]], name[at[r + dr, c + dc]])))
-            for r, c in at for dr, dc in ((0, 1), (1, 0))
-            if (r - dr, c - dc) in at and (r + dr, c + dc) in at
-        )
         calls = self._count_searches(monkeypatch)
         nonsplit_cover(g)
-        searched = sorted((avoid, start, w) for start, avoid, targets in calls for w in targets)
-        assert searched == opposite  # each such segment once, from its lesser end
+        assert calls == []
+
+    def test_a_wheel_searches_once_per_rim_vertex_and_hub(self, monkeypatch):
+        # on the rim of W_60, two vertices five or more steps apart need a search; a
+        # group's first such target and every later one share the search from u
+        g = hub_graph("wheel")
+        (hub,) = (v for v in g.vertices if len(g.neighbors(v)) == 60)
+        calls = self._count_searches(monkeypatch)
+        nonsplit_cover(g)
+        groups = [(start, avoid) for start, avoid, _ in calls]
+        assert {avoid for _, avoid in groups} == {hub}
+        assert len(groups) == len(set(groups)) > 50
+        # one search's targets: the first that is five or more steps from u in g - v, and
+        # every later one three or more steps away; the nearer ones are read off the sets
+        for start, avoid, targets in calls:
+            parents = exhaustive_bfs_parents(g, start, avoid)
+            steps = {w: len(parent_chain(parents, w)) - 1 for w in g.neighbors(avoid) if w > start}
+            first = min(w for w, k in steps.items() if k >= 5)
+            assert list(targets) == sorted(w for w, k in steps.items() if w >= first and k >= 3)
 
     @staticmethod
     def _count_searches(monkeypatch):
@@ -351,6 +408,33 @@ class TestNonSplitCover:
         )
         assert len(cover.entries) == expected
         assert verify_cover(g, cover)
+
+
+class TestShortPath:
+    """The paths of at most four edges that the cover reads off the neighbour sets."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_matches_one_full_search_on_every_connected_graph(self, n):
+        # every u, v and w of every connected labeled graph on n vertices: the least
+        # shortest u-w path in g - v, or None exactly when it has five or more edges
+        count = 0
+        for g in labeled_graphs(n):
+            if len(connected_components(g)) > 1:
+                continue
+            count += 1
+            adj = g._adj
+            nbrs = {x: set(nx) for x, nx in adj.items()}
+            for u in g.vertices:
+                for v in g.vertices:
+                    if v == u:
+                        continue
+                    parents = exhaustive_bfs_parents(g, u, v)
+                    for w in g.vertices:
+                        if w != u and w != v:
+                            path = parent_chain(parents, w) if w in parents else ()
+                            expected = tuple(path) if len(path) in range(2, 6) else None
+                            assert _short_path(adj, nbrs, u, v, w) == expected
+        assert count == {3: 4, 4: 38, 5: 728, 6: 26704}[n]
 
 
 class TestFrozenCover:
