@@ -124,10 +124,10 @@ def nonsplit_cover(g: SimplicialGraph) -> NonSplitCover:
     chain and direction, each cycle is built from slices, and a graph that
     is one cycle needs no search and no neighbour set.  Only a target five
     or more steps away is searched, with the later targets of its u and v
-    that are three or more away, from both ends in g - v: the search from u
-    keeps its ball for every later far neighbour w of v, and a w outside it
-    searches back until the two balls meet, so the cost is the balls
-    searched plus the size of the cover.  Entries are built in segment
+    that are three or more away, from both ends in g - v: each step grows
+    the smaller frontier by one whole level, and the ball from u is kept
+    for every later far neighbour w of v, so the cost is the balls searched
+    plus the size of the cover.  Entries are built in segment
     order, u over the sorted vertices, v over u's sorted neighbours and w
     over v's neighbours after u, so no closing sort is needed.
     """
@@ -163,7 +163,8 @@ def _nonsplit_cover(g: SimplicialGraph) -> NonSplitCover:
                 continue
             far = []
             for w in nv[nv.index(u) + 1 :]:
-                # _short_path's first two rules, inline: a call each made K_{2,150}'s cover 30% slower
+                # _short_path's first two rules, inline: a call each made small-sweep's
+                # biconnected 7-vertex covers about 30% slower, and K_{2,150}'s too
                 if w in near:  # the path is the edge u-w, and u < w
                     span = (v, u, w) if v < u else (u, v, w) if v < w else (u, w, v)
                     entries[(u, v, w)] = (span if n > 3 else whole, (v, u, w))
@@ -227,54 +228,38 @@ def _least_paths(
     The forward search expands neighbours in lexicographic order and sets a
     parent only when its vertex is first found, so a parent chain spells the
     lexicographically least shortest path and each level, in queue order, is
-    sorted by those paths.  It grows a whole level at a time and its ball is
-    kept for every later target.  A target outside it grows a backward search,
-    also a level at a time, and each step expands the side with the smaller
-    frontier.  Each backward level is sorted before it expands, so a backward
-    link is the least neighbour one step nearer the target.  The path runs
-    through the first forward-level vertex, in queue order, that the backward
-    side reached; the last target stops at the first such vertex found.
-    No target may be ``avoid``.
+    sorted by those paths.  Its ball is kept for every later target.  A
+    target outside it grows a backward search, and each step grows whichever
+    frontier is smaller by one whole level.  Each backward level is sorted
+    before it expands, so a backward link is the least neighbour one step
+    nearer the target.  The path runs through the first forward-level
+    vertex, in queue order, that the backward side reached.  No target may
+    be ``avoid``.
     """
     adj = g._adj
     # avoid counts as found on both sides, so neither search enters it
     parents: dict[str, Optional[str]] = {start: None, avoid: None}
     level = [start]
-    last = len(targets) - 1
-    for t, w in enumerate(targets):
+    for w in targets:
         links: dict[str, Optional[str]] = {w: None, avoid: None}
         back = [w]
         meet = w if w in parents else None
         while meet is None and level and back:
-            nb = len(back)
-            while len(level) <= nb:
-                new = []
-                for x in level:
-                    for y in adj[x]:
-                        if y not in parents:
-                            parents[y] = x
-                            new.append(y)
-                            if y in links and meet is None:
-                                meet = y
-                                if t == last:
-                                    break  # no later target reuses this ball
-                    else:
-                        continue
-                    break  # the break above ends the level too
+            forward = len(level) <= len(back)  # grow the smaller frontier by one whole level
+            side, other = (parents, links) if forward else (links, parents)
+            new = []
+            for x in level if forward else sorted(back):
+                for y in adj[x]:
+                    if y not in side:
+                        side[y] = x
+                        new.append(y)
+                        if meet is None and y in other:
+                            meet = y
+            if forward:
                 level = new
-                if meet is not None or not new:
-                    break
-            else:  # the backward frontier is the smaller one
-                new = []
-                for x in sorted(back):
-                    for y in adj[x]:
-                        if y not in links:
-                            links[y] = x
-                            new.append(y)
-                            if y in parents and meet is None:
-                                meet = y
+            else:
                 back = new
-                if meet is not None:
+                if meet is not None:  # the first meeting in the forward level's queue order
                     meet = next(x for x in level if x in links)
         if meet is None:
             yield None

@@ -9,6 +9,7 @@ interpreter, that this changes none of the names it exports.
 
 import ast
 import importlib
+import re
 import subprocess
 import sys
 import types
@@ -62,6 +63,28 @@ def test_client_imports_resolve(client):
             private_root.append(name)
     assert unresolved == []
     assert private_root == []
+
+
+def third_party_imports(path: Path) -> set[str]:
+    """The top-level modules a file imports, anywhere in it, other than the stdlib's and the project's."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            found.add(node.module.partition(".")[0])
+    return found - set(sys.stdlib_module_names) - {"raagsplit", "conftest"}
+
+
+def test_test_imports_are_declared_in_the_test_extra():
+    # a checkout set up from pyproject.toml's test extra must collect every test module
+    tomllib = pytest.importorskip("tomllib")  # new in Python 3.11
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    extra = project["optional-dependencies"]["test"]
+    declared = {re.match(r"[\w.-]+", req)[0].lower().replace("-", "_") for req in extra}
+    imported = set().union(*map(third_party_imports, (ROOT / "tests").glob("*.py")))
+    assert {"pytest", "hypothesis"} <= imported  # a parser that missed every import would pass vacuously
+    assert sorted(imported - declared) == []
 
 
 SRC = ROOT / "src"

@@ -255,12 +255,19 @@ class TestNonSplitCover:
             assert cycle == (v, *rho)
             assert delta == tuple(sorted({v, *rho}))
 
-    @pytest.mark.parametrize("family", ["ear", "grid", "cycle", "k2", "wheel"])
+    @pytest.mark.parametrize("family", ["ear", "grid", "cycle", "k2", "wheel", "ear-500"])
     def test_matches_one_full_search_per_pair(self, family):
-        # 300-vertex sparse graphs, where paths are long, and hubs with many
-        # targets per search: K_{2,40} and the wheel W_60
-        g = scale_graph(family, 300, 1) if family in ("ear", "grid", "cycle") else hub_graph(family)
-        assert list(nonsplit_cover(g).entries.items()) == oracle_cover(g)
+        # 300-vertex sparse graphs, where paths are long; hubs with many targets per search,
+        # K_{2,40} and the wheel W_60; and two ear graphs at the biconnected benchmark's size,
+        # whose covers each make about 300 searches and grow about 4,000 backward levels
+        if family == "ear-500":
+            graphs = [scale_graph("ear", 500, seed) for seed in (1, 2)]
+        elif family in ("ear", "grid", "cycle"):
+            graphs = [scale_graph(family, 300, 1)]
+        else:
+            graphs = [hub_graph(family)]
+        for g in graphs:
+            assert list(nonsplit_cover(g).entries.items()) == oracle_cover(g)
 
     # the chain rule: a degree-2 vertex's path runs down its chain, along one middle
     # path between the chain's ends, and back up; checked under several seeded namings
