@@ -96,6 +96,7 @@ def block_tree(g: SimplicialGraph) -> BlockTree:
     blocks, cuts, components = _lowpoint_scan(g)
     if components != 1:
         raise GraphError("bicomponents are defined for connected graphs only")
-    white = tuple((f"blk{i}", blk) for i, blk in enumerate(sorted(blocks)))
-    black = tuple((f"cut:{v}", v) for v in sorted(cuts))
-    return BlockTree(black=black, white=white)
+    blocks.sort()
+    white = tuple([(f"blk{i}", blk) for i, blk in enumerate(blocks)])
+    black = tuple([(f"cut:{v}", v) for v in sorted(cuts)])
+    return tuple.__new__(BlockTree, (black, white))  # positionally, as namedtuple's _make does

@@ -75,8 +75,8 @@ def _load_graph(path: str, g6: bool) -> SimplicialGraph:
 def _emit(payload: Union[str, Iterable[str]]) -> None:
     """Write ``payload``, a string or the chunks of one, to stdout, ending in one newline.
 
-    Each chunk is written as it comes, so a cover payload of many megabytes
-    is never joined, encoded whole or copied to add the newline.
+    Each chunk is written as it comes, so a cover payload or a decomposition of
+    many megabytes is never joined, encoded whole or copied to add the newline.
     """
     last = ""
     for last in (payload,) if isinstance(payload, str) else payload:
@@ -106,13 +106,13 @@ def cmd_split(args: argparse.Namespace) -> int:
 
 def cmd_jsj(args: argparse.Namespace) -> int:
     from .decompositions import build_j0, jsj
-    from .serialize import _gog_json, gog_to_dot
+    from .serialize import _gog_dot, _gog_json
 
     g = _load_graph(args.file, args.g6)
     if _is_empty(g):
         return EXIT_EMPTY
     gog = jsj(g) if args.stage == "j" else build_j0(g)
-    _emit(gog_to_dot(gog) if args.format == "dot" else _gog_json(gog))
+    _emit(_gog_dot(gog) if args.format == "dot" else _gog_json(gog))
     return EXIT_OK
 
 

@@ -17,6 +17,8 @@ from typing import Collection, NamedTuple, Optional, Union
 from .blocks import block_tree
 from .graphs import GraphError, SimplicialGraph
 
+_new = tuple.__new__  # builds a record positionally, as namedtuple's _make does, minus its length check
+
 
 class RaagGroup(NamedTuple):
     """The right-angled Artin group on an induced subgraph of the source graph."""
@@ -75,6 +77,9 @@ class _GraphOfGroups(NamedTuple):
 
 # a NamedTuple body cannot define __new__, so this subclass checks the edge ends
 class GraphOfGroups(_GraphOfGroups):
+    """A graph of groups over ``source``.  The constructor, ``_make`` and ``_replace`` reject an edge
+    end that is no vertex id; the builders here, whose ends are vertex ids, skip that through ``_trusted``."""
+
     __slots__ = ()
 
     def __new__(cls, vertices, edges, source) -> GraphOfGroups:  # field types are on the base
@@ -89,6 +94,11 @@ class GraphOfGroups(_GraphOfGroups):
     def _make(cls, iterable) -> GraphOfGroups:  # _replace builds through _make: check there too
         return cls(*iterable)
 
+    @classmethod
+    def _trusted(cls, vertices, edges, source) -> GraphOfGroups:
+        """The decomposition on these records with nothing checked: every edge end must be a vertex id."""
+        return _new(cls, (vertices, edges, source))
+
 
 def _decompose(g: SimplicialGraph, absorb: bool) -> GraphOfGroups:
     """J0 in one walk over the blocks in white order; with ``absorb``, J, as ``collapse_to_j`` gives it.
@@ -102,12 +112,11 @@ def _decompose(g: SimplicialGraph, absorb: bool) -> GraphOfGroups:
         bt = block_tree(g)
     except GraphError:  # on three or more vertices only a disconnected graph fails
         raise GraphError("decomposition needs a connected graph with at least three vertices") from None
-    # records are built positionally; a cut vertex's group and inclusions are one object
-    # each, shared by its black vertex, its edges and its loops
-    vertex, edge = GoGVertex._make, GoGEdge._make
-    cut = {v: (bid, CyclicGroup(v), (v, v)) for bid, v in bt.black}
+    # a cut vertex's group and inclusions are one object each, shared by its black vertex,
+    # its edges and its loops
+    cut = {v: (bid, _new(CyclicGroup, (v,)), (v, v)) for bid, v in bt.black}
     twice: Collection[str] = ()  # the vertices in exactly two blocks, all cut vertices
-    if absorb:
+    if absorb and cut:
         blocks_of = Counter(chain.from_iterable(blk for _, blk in bt.white))
         twice = {v for v, n in blocks_of.items() if n == 2}
     home: dict[str, str] = {}  # each cut vertex in ``twice`` to the first white reached
@@ -117,7 +126,7 @@ def _decompose(g: SimplicialGraph, absorb: bool) -> GraphOfGroups:
     loops: list[tuple[str, str, str]] = []  # (white id, cut vertex, stable letter)
     k = 0  # the next edge number; an absorbed edge takes one too
     for wid, blk in bt.white:
-        cuts = [v for v in blk if v in cut]
+        cuts = [v for v in blk if v in cut] if cut else ()
         absorbed = []
         for v in cuts:
             bid, group, inclusions = cut[v]
@@ -126,24 +135,25 @@ def _decompose(g: SimplicialGraph, absorb: bool) -> GraphOfGroups:
             if bid == wid:  # the first edge of v is the one collapsed
                 absorbed.append(v)  # blocks are sorted, so these are too
             else:
-                edges.append(edge((f"e{k}", (bid, wid), group, inclusions, None)))
+                edges.append(_new(GoGEdge, (f"e{k}", (bid, wid), group, inclusions, None)))
             k += 1
         color = MERGED if absorbed else WHITE
         if len(blk) != 2:
-            vertices.append(vertex((wid, color, RaagGroup(blk), False, False, blk, tuple(absorbed))))
+            group, toral, hanging = _new(RaagGroup, (blk,)), False, False
         elif len(cuts) == 1:  # hanging
             v = cuts[0]
             loops.append((wid, v, blk[1] if v == blk[0] else blk[0]))
-            vertices.append(vertex((wid, color, cut[v][1], True, True, blk, tuple(absorbed))))
+            group, toral, hanging = cut[v][1], True, True
         else:
-            vertices.append(vertex((wid, color, RaagGroup(blk), True, False, blk, tuple(absorbed))))
+            group, toral, hanging = _new(RaagGroup, (blk,)), True, False
+        vertices.append(_new(GoGVertex, (wid, color, group, toral, hanging, blk, tuple(absorbed))))
     for bid, v in bt.black:
         if v not in home:
-            vertices.append(vertex((bid, BLACK, cut[v][1], False, False, None, ())))
+            vertices.append(_new(GoGVertex, (bid, BLACK, cut[v][1], False, False, None, ())))
     for i, (wid, v, w) in enumerate(loops, k):
         _, group, inclusions = cut[v]
-        edges.append(edge((f"e{i}", (wid, wid), group, inclusions, w)))
-    return GraphOfGroups(vertices=tuple(vertices), edges=tuple(edges), source=g)
+        edges.append(_new(GoGEdge, (f"e{i}", (wid, wid), group, inclusions, w)))
+    return GraphOfGroups._trusted(tuple(vertices), tuple(edges), g)
 
 
 def build_j0(g: SimplicialGraph) -> GraphOfGroups:
@@ -181,7 +191,6 @@ def collapse_to_j(j0: GraphOfGroups) -> GraphOfGroups:
         target[bid] = w
         absorbed.setdefault(w, []).append(by_id[bid].group.generator)  # type: ignore[union-attr]
 
-    vertex, edge = GoGVertex._make, GoGEdge._make
     vertices = []
     for v in j0.vertices:
         if v.id in target:
@@ -189,22 +198,28 @@ def collapse_to_j(j0: GraphOfGroups) -> GraphOfGroups:
         gens = absorbed.get(v.id)
         if gens is not None:
             merged = tuple(sorted({*v.absorbed, *gens}))
-            v = vertex((v.id, MERGED, v.group, v.toral, v.hanging, v.block, merged))
+            v = _new(GoGVertex, (v.id, MERGED, v.group, v.toral, v.hanging, v.block, merged))
         vertices.append(v)
 
     edges = []
+    stray = False  # a moved edge still at a collapsed vertex: only a hand-built input has one
     for e in j0.edges:
         a, b = e.ends
         if a in target:
             if target[a] == b:
                 continue  # the collapsed edge
-            e = edge((e.id, (target[a], b), e.group, e.inclusions, e.stable_letter))
+            a = target[a]
         elif b in target:
             if target[b] == a:
                 continue
-            e = edge((e.id, (a, target[b]), e.group, e.inclusions, e.stable_letter))
-        edges.append(e)
-    return GraphOfGroups(vertices=tuple(vertices), edges=tuple(edges), source=j0.source)
+            b = target[b]
+        else:
+            edges.append(e)
+            continue
+        stray = stray or a in target or b in target
+        edges.append(_new(GoGEdge, (e.id, (a, b), e.group, e.inclusions, e.stable_letter)))
+    build = GraphOfGroups if stray else GraphOfGroups._trusted  # the public one rejects the stray end
+    return build(tuple(vertices), tuple(edges), j0.source)
 
 
 def jsj(g: SimplicialGraph) -> GraphOfGroups:

@@ -6,6 +6,7 @@ bytes; golden-file tests rely on it.
 
 from __future__ import annotations
 
+from functools import wraps
 from typing import TYPE_CHECKING, Iterator
 
 from .graphs import GraphError, ParseError, SimplicialGraph
@@ -52,7 +53,7 @@ def _names_json(names) -> str:
     return '["' + '", "'.join(names) + '"]' if names else "[]"
 
 
-_CHUNK = 1 << 16  # about how many characters of cover arrays ``_payload_json`` yields at once
+_CHUNK = 1 << 16  # about how many characters of cover arrays or of J the chunked writers yield at once
 
 
 def _payload_json(fields: dict) -> Iterator[str]:
@@ -142,47 +143,81 @@ def gog_to_dict(gog: GraphOfGroups) -> dict:
     }
 
 
-def _gog_json(gog: GraphOfGroups) -> str:
-    """``json.dumps(gog_to_dict(gog))``, for a decomposition built by this library.
+def _chunked(write):
+    """``write``, a generator of a decomposition's text in pieces, made to yield chunks of at least 64 KB
+    and less than that plus one piece, the last chunk aside.  An unknown group raises ``GraphError``
+    before the first chunk, so ``write`` reads kinds unchecked and never stops partway."""
+
+    @wraps(write)
+    def chunks(gog: GraphOfGroups) -> Iterator[str]:
+        for v in gog.vertices:
+            _group_kind(v.group)
+        parts = []
+        size = 0
+        for piece in write(gog):
+            parts.append(piece)
+            size += len(piece)
+            if size >= _CHUNK:
+                yield "".join(parts)
+                parts.clear()
+                size = 0
+        if parts:
+            yield "".join(parts)
+
+    return chunks
+
+
+@_chunked
+def _gog_json(gog: GraphOfGroups) -> Iterator[str]:
+    """``json.dumps(gog_to_dict(gog))`` in chunks of about 64 KB, for a decomposition built by this library.
 
     Every id, color, name and stable letter of such a decomposition is a
-    token with nothing to escape, so each record is written as one f-string
-    and the records of each list are joined once.
+    token with nothing to escape, so each record is one f-string, written when
+    its chunk is read: neither the joined text nor every record's text is held.
     """
-    vertices = []
+    yield '{"vertices": ['
+    sep = ""
     for v in gog.vertices:
         group = v.group
-        text = f'{{"kind": "{_group_kind(group)}", "vertices": {_names_json(group.generators())}}}'
-        vertices.append(
-            f'{{"id": "{v.id}", "color": "{v.color}", "group": {text}, '
+        yield (
+            f'{sep}{{"id": "{v.id}", "color": "{v.color}", "group": {{"kind": "{group._kind}", '
+            f'"vertices": {_names_json(group.generators())}}}, '
             f'"hanging": {_JSON_BOOL[v.hanging]}, "toral": {_JSON_BOOL[v.toral]}}}'
         )
-    edges = []
+        sep = ", "
+    yield '], "edges": ['
+    sep = ""
     for e in gog.edges:
         a, b = e.ends
         letter = e.stable_letter
-        edges.append(
-            f'{{"id": "{e.id}", "ends": ["{a}", "{b}"], "group_vertex": "{e.group.generator}", '
+        yield (
+            f'{sep}{{"id": "{e.id}", "ends": ["{a}", "{b}"], "group_vertex": "{e.group.generator}", '
             f'"loop": {_JSON_BOOL[a == b]}, "stable_letter": '
             + ("null}" if letter is None else f'"{letter}"}}')
         )
-    return f'{{"vertices": [{", ".join(vertices)}], "edges": [{", ".join(edges)}]}}'
+        sep = ", "
+    yield "]}"
+
+
+@_chunked
+def _gog_dot(gog: GraphOfGroups) -> Iterator[str]:
+    """``gog_to_dot(gog)`` in chunks of about 64 KB, each line written when its chunk is read."""
+    from .decompositions import BLACK
+    yield "graph decomposition {\n"
+    for v in gog.vertices:
+        fill = "black" if v.color == BLACK else "white"
+        label = v.group._kind + ":" + ",".join(v.group.generators())
+        yield f'  "{v.id}" [shape=circle, fillcolor={fill}, style=filled, label="{label}"];\n'
+    for e in gog.edges:
+        label = e.stable_letter if e.is_loop else e.group.generator
+        yield f'  "{e.ends[0]}" -- "{e.ends[1]}" [label="{label}"];\n'
+    yield "}\n"
 
 
 def gog_to_dot(gog: GraphOfGroups) -> str:
     """DOT rendering: black/white nodes, edges labeled by their group generator,
-    loops by their stable letter."""
-    from .decompositions import BLACK
-    lines = ["graph decomposition {"]
-    for v in gog.vertices:
-        fill = "black" if v.color == BLACK else "white"
-        label = _group_kind(v.group) + ":" + ",".join(v.group.generators())
-        lines.append(f'  "{v.id}" [shape=circle, fillcolor={fill}, style=filled, label="{label}"];')
-    for e in gog.edges:
-        label = e.stable_letter if e.is_loop else e.group.generator
-        lines.append(f'  "{e.ends[0]}" -- "{e.ends[1]}" [label="{label}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    loops by their stable letter.  One string, joined from the chunks ``raag jsj --format dot`` streams."""
+    return "".join(_gog_dot(gog))
 
 
 def graph_to_dot(g: SimplicialGraph) -> str:

@@ -21,6 +21,8 @@ import pytest
 
 from raagsplit import (
     CyclicGroup,
+    GraphError,
+    GraphOfGroups,
     NonSplitCover,
     RaagGroup,
     SimplicialGraph,
@@ -104,14 +106,15 @@ def connected_graphs(n: int):
 def sweep36():
     """One pass over all connected labeled graphs on 3..6 vertices.
 
-    Collects everything criteria 4, 5 and 7 assert on; failures are recorded,
-    not raised, so each criterion reports independently.
+    Collects everything criteria 4, 5 and 7 and the rebuild check assert on;
+    failures are recorded, not raised, so each reports independently.
     """
     results = {
         "checked": 0,
         "witness_failures": [],
         "abelianization_failures": [],
         "reduced_failures": [],
+        "rebuild_failures": [],
     }
     for n in range(3, 7):
         for g in connected_graphs(n):
@@ -131,7 +134,21 @@ def sweep36():
                 results["reduced_failures"].append(g)
             if abelianization(emit_presentation(decomposition)) != (n, []):
                 results["abelianization_failures"].append(g)
+            if not (rebuilds(decomposition) and rebuilds(build_j0(g))):
+                results["rebuild_failures"].append(g)
     return results
+
+
+def rebuilds(gog: GraphOfGroups) -> bool:
+    """The public constructor, which checks every edge end, accepts ``gog``'s records and gives ``gog`` back.
+
+    The builders construct J and J0 without that check, as their edge ends are
+    vertex ids by construction; this pins that invariant.
+    """
+    try:
+        return GraphOfGroups(*gog) == gog
+    except GraphError:
+        return False
 
 
 def test_criterion_1_star_fixture(tmp_path, capsys):
@@ -293,6 +310,10 @@ def test_criterion_6_euler_identity():
 def test_criterion_7_reducedness(sweep36):
     assert sweep36["reduced_failures"] == []
     criterion(7, f"jsj reduced on all {sweep36['checked']} graphs")
+
+
+def test_builders_pass_the_public_ends_check(sweep36):
+    assert sweep36["rebuild_failures"] == []
 
 
 def test_criterion_8_census_table():

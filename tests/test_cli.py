@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from itertools import combinations
 from pathlib import Path
 
@@ -19,14 +20,18 @@ from raagsplit import (
     SplitReport,
     build_j0,
     collapse_to_j,
+    jsj,
     parse_graph,
     splits_over_z,
 )
 from raagsplit.cli import main
 from raagsplit.serialize import (
+    _CHUNK,
+    _gog_dot,
     _gog_json,
     _payload_json,
     gog_to_dict,
+    gog_to_dot,
     parse_graph6,
     report_to_dict,
     witness_to_dict,
@@ -616,11 +621,11 @@ class TestPayloadRenderer:
 
 
 class TestGogRenderer:
-    """``raag jsj``'s JSON is the bytes ``json.dumps`` writes from ``gog_to_dict``."""
+    """``raag jsj``'s JSON, joined from its chunks, is the bytes ``json.dumps`` writes from ``gog_to_dict``."""
 
     @staticmethod
     def assert_same_bytes(gog):
-        assert _gog_json(gog) == json.dumps(gog_to_dict(gog))
+        assert "".join(_gog_json(gog)) == json.dumps(gog_to_dict(gog))
 
     @given(graphs(min_vertices=3, max_vertices=7, connected=True))
     @settings(max_examples=200)
@@ -643,9 +648,47 @@ class TestGogRenderer:
 
     def test_unknown_group_descriptor(self):
         gog = GraphOfGroups((GoGVertex("w", "white", ("a",)),), (), parse_graph("a"))
-        for write in (_gog_json, gog_to_dict):
+        for write in (lambda gog: next(_gog_json(gog)), gog_to_dict):
             with pytest.raises(GraphError, match="^unknown group descriptor"):
                 write(gog)
+
+    def test_unknown_group_descriptor_raises_before_the_first_chunk(self):
+        # the bad group sits on the last vertex, several chunks into either text
+        j = jsj(scale_graph("path", 2000, 1))
+        gog = j._replace(vertices=(*j.vertices[:-1], j.vertices[-1]._replace(group=("a",))))
+        for write in (_gog_json, _gog_dot):
+            with pytest.raises(GraphError, match="^unknown group descriptor"):
+                next(write(gog))
+        with pytest.raises(GraphError, match="^unknown group descriptor"):
+            gog_to_dot(gog)
+
+    @pytest.mark.parametrize("form", ["json", "dot"])
+    def test_chunks_of_a_long_path(self, form):
+        # J of a 2,000-vertex path is about 480 KB of JSON and 270 KB of DOT
+        j = jsj(scale_graph("path", 2000, 1))
+        if form == "json":
+            chunks, whole = list(_gog_json(j)), json.dumps(gog_to_dict(j))
+            longest = 2 + max(len(json.dumps(r)) for records in gog_to_dict(j).values() for r in records)  # ", " too
+        else:
+            chunks, whole = list(_gog_dot(j)), gog_to_dot(j)
+            longest = max(map(len, whole.splitlines(keepends=True)))
+        assert "".join(chunks) == whole
+        assert len(chunks) >= 4
+        assert all(_CHUNK <= len(chunk) < _CHUNK + longest for chunk in chunks[:-1])
+
+    def test_chunks_are_written_as_they_are_read(self):
+        # J of a 10^4-vertex path is 2.4 MB of JSON; reading it holds about one chunk at a time
+        j = jsj(scale_graph("path", 10**4, 1))
+        size = 0
+        tracemalloc.start()
+        try:
+            for chunk in _gog_json(j):
+                size += len(chunk)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert size > 2 * 10**6
+        assert peak < size / 4
 
 
 class TestMetamorphic:

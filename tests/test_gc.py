@@ -55,7 +55,7 @@ CALLS = {
     "witness_to_dict": (witness_to_dict, "witness"),
     "_payload_json": (lambda fields: "".join(_payload_json(fields)), "fields"),  # every chunk
     "gog_to_dict": (gog_to_dict, "j"),
-    "_gog_json": (_gog_json, "j"),
+    "_gog_json": (lambda j: "".join(_gog_json(j)), "j"),  # every chunk
     "gog_to_dot": (gog_to_dot, "j"),
     "emit_presentation": (emit_presentation, "j"),
     "abelianization": (abelianization, "presentation"),
