@@ -2,8 +2,9 @@
 
 Subcommands: split, jsj, witness, check, census, export-dot.  Input is the
 edge-list format (or graph6 with --g6) from a file argument or stdin, as UTF-8
-with an optional byte-order mark.  Machine payload goes to stdout, diagnostics
-to stderr.  ``export-dot --stage j|j0`` is ``jsj --format dot``.
+with an optional byte-order mark.  Machine payload goes to stdout in writes of
+64 KB that ``_emit`` alone joins from the writers' pieces, diagnostics to
+stderr.  ``export-dot --stage j|j0`` is ``jsj --format dot``.
 
 Exit codes: 0 success, 2 usage or parse error, or input not readable as UTF-8
 text (missing file, directory, invalid bytes, closed stdin), 3 empty graph,
@@ -65,24 +66,34 @@ def _load_graph(path: str, g6: bool) -> SimplicialGraph:
     if g6:
         from .serialize import parse_graph6
 
-        lines = [ln for ln in text.splitlines() if ln.strip()]
+        lines = [(ln, n) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
         if len(lines) != 1:
             raise ParseError(f"expected exactly one graph6 line, got {len(lines)}", 1)
-        return parse_graph6(lines[0])
+        return parse_graph6(*lines[0])
     return parse_graph(text)
 
 
-def _emit(payload: Union[str, Iterable[str]]) -> None:
-    """Write ``payload``, a string or the chunks of one, to stdout, ending in one newline.
+_CHUNK = 1 << 16  # the least number of characters in each write but the last
 
-    Each chunk is written as it comes, so a cover payload or a decomposition of
-    many megabytes is never joined, encoded whole or copied to add the newline.
+
+def _emit(payload: Union[str, Iterable[str]]) -> None:
+    """Write ``payload``, a string or its pieces, to stdout, ending in one newline.
+
+    The one buffer between the writers and stdout, which ``PYTHONUNBUFFERED``
+    makes one system call per write: pieces are joined until they reach 64 KB,
+    written once the next piece comes (so the last write carries the newline),
+    and a writer that raises within its first 64 KB leaves nothing written.
     """
-    last = ""
+    parts, size, last = [], 0, ""
     for last in (payload,) if isinstance(payload, str) else payload:
-        sys.stdout.write(last)
+        if size >= _CHUNK:
+            sys.stdout.write("".join(parts))
+            parts, size = [], 0
+        parts.append(last)
+        size += len(last)
     if not last.endswith("\n"):
-        sys.stdout.write("\n")
+        parts.append("\n")
+    sys.stdout.write("".join(parts))
 
 
 def _is_empty(g: SimplicialGraph) -> bool:
@@ -260,9 +271,9 @@ def cmd_census(args: argparse.Namespace) -> int:
             if not line.strip():
                 continue
             try:
-                g = parse_graph6(line)
-            except ParseError as exc:
-                print(f"error: graph6 stream line {lineno}: {exc}", file=sys.stderr)
+                g = parse_graph6(line, lineno)
+            except ParseError as exc:  # its message begins "line {lineno}: "
+                print(f"error: graph6 stream {exc}", file=sys.stderr)
                 return EXIT_PARSE
             if g.vertices:
                 by_n.setdefault(len(g.vertices), []).append(g)

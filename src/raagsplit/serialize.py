@@ -1,12 +1,12 @@
 """Frozen JSON/DOT serializations and the graph6 input format.
 
 Key sets and orderings are fixed so identical inputs always produce identical
-bytes; golden-file tests rely on it.
+bytes; golden-file tests rely on it.  The writers ``raag`` streams are
+generators of small pieces, which ``cli._emit`` alone joins into writes.
 """
 
 from __future__ import annotations
 
-from functools import wraps
 from typing import TYPE_CHECKING, Iterator
 
 from .graphs import GraphError, ParseError, SimplicialGraph
@@ -53,61 +53,43 @@ def _names_json(names) -> str:
     return '["' + '", "'.join(names) + '"]' if names else "[]"
 
 
-_CHUNK = 1 << 16  # about how many characters of cover arrays or of J the chunked writers yield at once
-
-
 def _payload_json(fields: dict) -> Iterator[str]:
-    """``json.dumps(fields)`` in chunks, where ``fields["witness"]`` is a witness record, not its dict.
+    """``json.dumps(fields)`` in pieces, where ``fields["witness"]`` is a witness record, not its dict.
 
-    The joined chunks are the bytes of ``json.dumps`` with ``witness_to_dict``
+    The joined pieces are the bytes of ``json.dumps`` with ``witness_to_dict``
     of the record in its place, written without ``json``: keys, ``z_split``,
     tags and names are tokens with nothing to escape, and the other fields
-    booleans.  A cover is written at C speed per name, and a span that is
-    the very object of the entry before is not written again: its text is
-    reused.  Pieces are joined and yielded once their cover arrays reach
-    about 64 KB, so no joined payload, no list of every piece and no table
-    of every span's text is ever held; a witness of no known kind raises
-    ``GraphError`` before anything is yielded.
+    booleans.  Each cover entry is one piece, and a span that is the very
+    object of the entry before reuses its text.  A witness of no known kind
+    raises ``GraphError`` before the cover, the only long part.
     """
-    parts = []
     lead = "{"
     for key, value in fields.items():
-        parts += (lead, f'"{key}": ')
+        head = f'{lead}"{key}": '
         lead = ", "
         kind = getattr(value, "_kind", None)
         if key != "witness":
-            parts.append(_JSON_BOOL[value] if isinstance(value, bool) else f'"{value}"')
+            yield head + (_JSON_BOOL[value] if isinstance(value, bool) else f'"{value}"')
         elif kind == "amalgam":
-            parts.append(
-                f'{{"kind": "amalgam", "side1": {_names_json(value.side1)}, '
+            yield (
+                f'{head}{{"kind": "amalgam", "side1": {_names_json(value.side1)}, '
                 f'"side2": {_names_json(value.side2)}, "vertex": "{value.vertex}"}}'
             )
         elif kind == "small_case":
-            parts.append(f'{{"kind": "small_case", "tag": "{value.tag}"}}')
+            yield f'{head}{{"kind": "small_case", "tag": "{value.tag}"}}'
         elif kind != "cover":
             raise GraphError(f"unknown witness {value!r}")
         else:
-            parts.append('{"kind": "cover", "cover": [')
+            yield head + '{"kind": "cover", "cover": ['
             sep = ""
-            size = 0
-            last: object = parts  # the entry span that ``span`` spells; none yet
+            last = object()  # the entry span that ``span`` spells; none yet
             for seg, (delta, cycle) in value.entries.items():
                 if delta is not last:
                     span, last = _names_json(delta), delta
-                text = _names_json(cycle)
-                parts += (
-                    sep, '{"segment": ', _names_json(seg), ', "delta": ', span,
-                    ', "cycle": ', text, "}",
-                )
+                yield f'{sep}{{"segment": {_names_json(seg)}, "delta": {span}, "cycle": {_names_json(cycle)}}}'
                 sep = ", "
-                size += len(span) + len(text)
-                if size >= _CHUNK:
-                    yield "".join(parts)
-                    parts.clear()
-                    size = 0
-            parts.append("]}")
-    parts.append("}" if fields else "{}")
-    yield "".join(parts)
+            yield "]}"
+    yield "}" if fields else "{}"
 
 
 def _group_kind(group) -> str:
@@ -143,38 +125,20 @@ def gog_to_dict(gog: GraphOfGroups) -> dict:
     }
 
 
-def _chunked(write):
-    """``write``, a generator of a decomposition's text in pieces, made to yield chunks of at least 64 KB
-    and less than that plus one piece, the last chunk aside.  An unknown group raises ``GraphError``
-    before the first chunk, so ``write`` reads kinds unchecked and never stops partway."""
-
-    @wraps(write)
-    def chunks(gog: GraphOfGroups) -> Iterator[str]:
-        for v in gog.vertices:
-            _group_kind(v.group)
-        parts = []
-        size = 0
-        for piece in write(gog):
-            parts.append(piece)
-            size += len(piece)
-            if size >= _CHUNK:
-                yield "".join(parts)
-                parts.clear()
-                size = 0
-        if parts:
-            yield "".join(parts)
-
-    return chunks
+def _check_groups(gog: GraphOfGroups) -> None:
+    """Raise ``GraphError`` on the first group of ``gog`` of no known kind, so a writer never stops partway."""
+    for v in gog.vertices:
+        _group_kind(v.group)
 
 
-@_chunked
 def _gog_json(gog: GraphOfGroups) -> Iterator[str]:
-    """``json.dumps(gog_to_dict(gog))`` in chunks of about 64 KB, for a decomposition built by this library.
+    """``json.dumps(gog_to_dict(gog))`` in pieces, one per record, for a decomposition built by this library.
 
     Every id, color, name and stable letter of such a decomposition is a
     token with nothing to escape, so each record is one f-string, written when
-    its chunk is read: neither the joined text nor every record's text is held.
+    it is read: neither the joined text nor every record's text is held.
     """
+    _check_groups(gog)
     yield '{"vertices": ['
     sep = ""
     for v in gog.vertices:
@@ -199,10 +163,10 @@ def _gog_json(gog: GraphOfGroups) -> Iterator[str]:
     yield "]}"
 
 
-@_chunked
 def _gog_dot(gog: GraphOfGroups) -> Iterator[str]:
-    """``gog_to_dot(gog)`` in chunks of about 64 KB, each line written when its chunk is read."""
+    """``gog_to_dot(gog)`` line by line, each line written when it is read."""
     from .decompositions import BLACK
+    _check_groups(gog)
     yield "graph decomposition {\n"
     for v in gog.vertices:
         fill = "black" if v.color == BLACK else "white"
@@ -216,46 +180,47 @@ def _gog_dot(gog: GraphOfGroups) -> Iterator[str]:
 
 def gog_to_dot(gog: GraphOfGroups) -> str:
     """DOT rendering: black/white nodes, edges labeled by their group generator,
-    loops by their stable letter.  One string, joined from the chunks ``raag jsj --format dot`` streams."""
+    loops by their stable letter.  One string, joined from the lines ``raag jsj --format dot`` streams."""
     return "".join(_gog_dot(gog))
 
 
-def graph_to_dot(g: SimplicialGraph) -> str:
-    lines = ["graph defining_graph {"]
+def graph_to_dot(g: SimplicialGraph) -> Iterator[str]:
+    """DOT of the defining graph, line by line."""
+    yield "graph defining_graph {\n"
     for v in g.vertices:
-        lines.append(f'  "{v}" [shape=circle];')
+        yield f'  "{v}" [shape=circle];\n'
     for u, v in g.edges:
-        lines.append(f'  "{u}" -- "{v}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        yield f'  "{u}" -- "{v}";\n'
+    yield "}\n"
 
 
-def parse_graph6(line: str) -> SimplicialGraph:
-    """Decode one graph6 line (short form, up to 62 vertices).
+def parse_graph6(line: str, lineno: int = 1) -> SimplicialGraph:
+    """Decode one graph6 line (short form, up to 62 vertices), line ``lineno`` of its input.
 
-    Vertices are named v00..v61 so numeric and lexicographic order agree.
+    Vertices are named v00..v61 so numeric and lexicographic order agree; a
+    ``ParseError`` names ``lineno``.
     """
     data = line.strip()
     if data.startswith(">>graph6<<"):
         data = data[len(">>graph6<<") :]
     if not data:
-        raise ParseError("empty graph6 line", 1)
+        raise ParseError("empty graph6 line", lineno)
     first = ord(data[0]) - 63
     if first < 0 or ord(data[0]) > 126:
-        raise ParseError(f"bad graph6 size byte {data[0]!r}", 1)
+        raise ParseError(f"bad graph6 size byte {data[0]!r}", lineno)
     if first > GRAPH6_MAX_VERTICES:
-        raise ParseError(f"graph6 input limited to {GRAPH6_MAX_VERTICES} vertices", 1)
+        raise ParseError(f"graph6 input limited to {GRAPH6_MAX_VERTICES} vertices", lineno)
     n = first
     need_bits = n * (n - 1) // 2
     need_chars = (need_bits + 5) // 6
     body = data[1:]
     if len(body) != need_chars:
-        raise ParseError(f"graph6 body has {len(body)} characters, expected {need_chars}", 1)
+        raise ParseError(f"graph6 body has {len(body)} characters, expected {need_chars}", lineno)
     bits = []
     for ch in body:
         val = ord(ch) - 63
         if val < 0 or val > 63:
-            raise ParseError(f"bad graph6 character {ch!r}", 1)
+            raise ParseError(f"bad graph6 character {ch!r}", lineno)
         bits.extend((val >> shift) & 1 for shift in range(5, -1, -1))
     names = [f"v{i:02d}" for i in range(n)]
     edges = []

@@ -24,9 +24,8 @@ from raagsplit import (
     parse_graph,
     splits_over_z,
 )
-from raagsplit.cli import main
+from raagsplit.cli import _CHUNK, _emit, main
 from raagsplit.serialize import (
-    _CHUNK,
     _gog_dot,
     _gog_json,
     _payload_json,
@@ -53,6 +52,24 @@ def run(capsys, argv, stdin=None, monkeypatch=None):
     code = main(argv)
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def record_writes(monkeypatch):
+    """A list that every later write to stdout is appended to, one item per write.
+
+    Called in a test's body: pytest sets its own ``sys.stdout`` once fixtures are set up.
+    """
+    recorded = []
+    monkeypatch.setattr(sys, "stdout", io.StringIO())
+    monkeypatch.setattr(sys.stdout, "write", recorded.append)
+    return recorded
+
+
+def assert_chunked(writes, whole, longest):
+    """``writes`` spell ``whole``, each write but the last at least 64 KB and short of 64 KB plus the longest piece."""
+    assert "".join(writes) == whole
+    assert len(writes) >= 2
+    assert all(_CHUNK <= len(chunk) < _CHUNK + longest for chunk in writes[:-1])
 
 
 @pytest.fixture
@@ -271,6 +288,12 @@ class TestCensus:
             }
         ]
 
+    def test_stream_parse_error_names_its_line(self, capsys, tmp_path):
+        stream = tmp_path / "bad.g6"
+        stream.write_text("Bw\nA_\nB!\n")
+        code, out, err = run(capsys, ["census", str(stream)])
+        assert (code, out, err) == (2, "", "error: graph6 stream line 3: bad graph6 character '!'\n")
+
     def test_stream_matches_enumeration(self, capsys, tmp_path):
         lines = []
         names = ["v00", "v01", "v02", "v03"]
@@ -381,16 +404,34 @@ class TestUnreadableInput:
 
 
 class TestEmit:
-    def test_strings_are_written_whole_and_chunks_as_they_come(self, monkeypatch):
-        from raagsplit.cli import _emit
-
-        writes = []
-        monkeypatch.setattr(sys, "stdout", io.StringIO())
-        monkeypatch.setattr(sys.stdout, "write", writes.append)
+    def test_strings_are_written_whole_and_chunks_as_they_come(self, monkeypatch, star_file):
+        writes = record_writes(monkeypatch)
+        # a short payload is one write, its newline included
         _emit("check pass")
         _emit("ends in a newline\n")
         _emit(iter(['{"a": ', "true}"]))
-        assert writes == ["check pass", "\n", "ends in a newline\n", '{"a": ', "true}", "\n"]
+        _emit(iter([]))
+        assert writes == ["check pass\n", "ends in a newline\n", '{"a": true}\n', "\n"]
+        writes.clear()
+        assert main(["check", star_file]) == 0
+        assert [w.split()[0] for w in writes] == ["reduced", "euler", "coverage", "abelianization"]
+        assert all(w.endswith("\n") for w in writes)
+        # pieces are joined until they reach 64 KB, and written once the next piece comes
+        writes.clear()
+        _emit(iter(["x" * 1000] * 200))
+        assert [len(w) for w in writes] == [66000, 66000, 66000, 2001]
+
+    def test_nothing_is_written_before_a_bad_record_raises(self, monkeypatch):
+        writes = record_writes(monkeypatch)
+        with pytest.raises(GraphError, match="^unknown witness"):
+            _emit(_payload_json({"z_split": "no", "witness": ("a", "b")}))
+        # the bad group sits on the last vertex of J, hundreds of kilobytes into either text
+        j = jsj(scale_graph("path", 2000, 1))
+        gog = j._replace(vertices=(*j.vertices[:-1], j.vertices[-1]._replace(group=("a",))))
+        for write in (_gog_json, _gog_dot):
+            with pytest.raises(GraphError, match="^unknown group descriptor"):
+                _emit(write(gog))
+        assert writes == []
 
 
 class TestClosedPipe:
@@ -603,13 +644,19 @@ class TestPayloadRenderer:
         }
         self.assert_same_bytes(SplitReport(False, "no", NonSplitCover(entries=entries)))
 
-    def test_payload_of_many_chunks(self):
+    def test_payload_of_many_chunks(self, monkeypatch, tmp_path):
         # a 600-cycle's cover holds 600 spans and cycles of 600 names each: 6.5 MB of JSON
-        report = splits_over_z(scale_graph("cycle", 600, 1))
-        chunks = list(_payload_json(report._asdict()))
-        assert len(chunks) > 50
-        assert all(len(chunk) >= 1 << 16 for chunk in chunks[:-1])
-        assert "".join(chunks) == json.dumps(report_to_dict(report))
+        path = tmp_path / "cycle.txt"
+        path.write_text("".join(f"{u} {v}\n" for u, v in scale_graph("cycle", 600, 1).edges))
+        report = splits_over_z(parse_graph(path.read_text()))
+        checked = {"z_split": report.z_split, "witness": report.witness, "verified": True}
+        writes = record_writes(monkeypatch)
+        for cmd, fields in (("split", report._asdict()), ("witness", checked)):
+            writes.clear()
+            assert main([cmd, str(path)]) == 0
+            whole = json.dumps(dict(fields, witness=witness_to_dict(report.witness))) + "\n"
+            assert_chunked(writes, whole, max(map(len, _payload_json(fields))))
+            assert len(writes) > 50
 
     def test_unknown_witness_rejected_as_by_the_dict_form(self):
         for write in (
@@ -663,18 +710,28 @@ class TestGogRenderer:
             gog_to_dot(gog)
 
     @pytest.mark.parametrize("form", ["json", "dot"])
-    def test_chunks_of_a_long_path(self, form):
-        # J of a 2,000-vertex path is about 480 KB of JSON and 270 KB of DOT
-        j = jsj(scale_graph("path", 2000, 1))
+    def test_chunks_of_a_long_path(self, monkeypatch, tmp_path, form):
+        # J of a 2,000-vertex path is about 480 KB of JSON and 270 KB of DOT, J0 more, and the path's own DOT 90 KB
+        path = tmp_path / "path.txt"
+        path.write_text("".join(f"{u} {v}\n" for u, v in scale_graph("path", 2000, 1).edges))
+        g = parse_graph(path.read_text())
+        j, j0 = jsj(g), build_j0(g)
         if form == "json":
-            chunks, whole = list(_gog_json(j)), json.dumps(gog_to_dict(j))
-            longest = 2 + max(len(json.dumps(r)) for records in gog_to_dict(j).values() for r in records)  # ", " too
+            runs = [
+                (["jsj"], _gog_json(j), json.dumps(gog_to_dict(j)) + "\n"),
+                (["jsj", "--stage=j0"], _gog_json(j0), json.dumps(gog_to_dict(j0)) + "\n"),
+            ]
         else:
-            chunks, whole = list(_gog_dot(j)), gog_to_dot(j)
-            longest = max(map(len, whole.splitlines(keepends=True)))
-        assert "".join(chunks) == whole
-        assert len(chunks) >= 4
-        assert all(_CHUNK <= len(chunk) < _CHUNK + longest for chunk in chunks[:-1])
+            lines = [f'  "{v}" [shape=circle];\n' for v in g.vertices] + [f'  "{u}" -- "{v}";\n' for u, v in g.edges]
+            runs = [
+                (["jsj", "--format=dot"], _gog_dot(j), gog_to_dot(j)),
+                (["export-dot"], lines, "graph defining_graph {\n" + "".join(lines) + "}\n"),
+            ]
+        writes = record_writes(monkeypatch)
+        for argv, pieces, whole in runs:
+            writes.clear()
+            assert main([*argv, str(path)]) == 0
+            assert_chunked(writes, whole, max(map(len, pieces)))
 
     def test_chunks_are_written_as_they_are_read(self):
         # J of a 10^4-vertex path is 2.4 MB of JSON; reading it holds about one chunk at a time
@@ -785,6 +842,10 @@ class TestGraph6:
         back = {(int(u[1:]), int(v[1:])) for u, v in parsed.edges}
         normalized = {(min(a, b), max(a, b)) for a, b in edges}
         assert back == normalized
+
+    def test_parse_error_names_its_line(self, capsys, monkeypatch):
+        code, out, err = run(capsys, ["split", "-", "--g6"], stdin="\n\nB!\n", monkeypatch=monkeypatch)
+        assert (code, out, err) == (2, "", "error: line 3: bad graph6 character '!'\n")
 
     def test_command_level_g6(self, capsys, monkeypatch):
         code, out, _ = run(
