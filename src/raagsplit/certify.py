@@ -48,19 +48,22 @@ def cover_defects(g: SimplicialGraph, cover: NonSplitCover) -> list[str]:
     two-edge segments is looked up through ``entries.get`` and its entry
     checked, so no order, ``keys()`` or ``items()`` can hide a segment.
     Only when ``len(entries)`` differs from the number found are the keys
-    of ``items()`` sorted and searched for foreign ones.  Each distinct
-    span, keyed by its value, is made a set and judged once; an entry whose
-    span is the very tuple of the entry before reuses that record unhashed.
-    A cycle has each step looked up in the neighbour sets, unless it is its
-    span's last checked cycle read from another start or direction: a
+    of ``items()`` sorted and searched for foreign ones.  Only the entry
+    before is remembered: an entry whose span is that entry's span, the
+    very tuple or an equal one, reuses its set and verdict, and any other
+    span is made a set and judged afresh.  A cycle has each step looked up
+    in the neighbour sets, unless it is the last checked cycle of the run
+    of entries with its span, read from another start or direction: a
     position dict, made when that cycle is first met again, finds the
     start, and the entry costs one comparison.  A three-vertex span is the
     segment u-v-w itself, whose steps u-v and v-w are edges, so a cycle
     spelling it needs only u ~ w; one that fails that test is checked in
-    full.  The cost is O(n + m) plus the size of the cover, and no subgraph
-    is built per entry.  Missing segments are listed first, then the other
-    defects in key order.  A malformed entry is a defect of its own, and so
-    are entries that are not a mapping.
+    full.  The cost is O(n + m) plus the size of the cover, the memory
+    beyond the cover is the segment list and O(n + m), and no subgraph is
+    built per entry.
+    Missing segments are listed first, then the other defects in key order.
+    A malformed entry is a defect of its own, and so are entries that are
+    not a mapping.
     """
     nbrs: dict[str, set[str]] = {x: set() for x in g.vertices}
     for a, b in g.edges:
@@ -84,11 +87,10 @@ def cover_defects(g: SimplicialGraph, cover: NonSplitCover) -> list[str]:
     flawed = []  # (key, flaw) in key order
     absent = object()
     get = entries.get
-    # span value -> its set, its defect or None, its last checked cycle written twice, and
-    # each name's position in that cycle once it is reused; keyed by value, so nothing the
-    # builder shares is trusted
-    spans: dict[tuple, list] = {}
-    last: object = spans  # the span tuple that ``known`` belongs to; none yet
+    # the entry before's span tuple, that span's set and flaw or None, its last checked cycle
+    # written twice, and each name's position in that ring once it is reused; a span unequal
+    # to the one before replaces all five, so no verdict outlives its run of entries
+    key = span = span_flaw = ring = position = None
     for seg in ordered:
         entry = get(seg, absent)
         if entry is absent:
@@ -99,19 +101,15 @@ def cover_defects(g: SimplicialGraph, cover: NonSplitCover) -> list[str]:
                 delta, cycle = entry
             except ValueError:  # not two items: tuple(None) below reports it
                 delta = None
-            if delta is not last:
-                key = tuple(delta)  # type: ignore
-                record = spans.get(key)
-                if record is None:
-                    span = set(key)
-                    flaw = (
-                        "span leaves the graph" if not span <= vertices
-                        else "span has fewer than three vertices" if len(key) < 3
-                        else None
-                    )
-                    record = spans[key] = [span, flaw, (), None]
-                known, last = record, key
-            span, flaw, ring, position = known
+            new = tuple(delta)  # type: ignore
+            if not (new is key or new == key):  # set() may raise before anything is assigned
+                key, span, ring, position = new, set(new), (), None
+                span_flaw = (
+                    "span leaves the graph" if not span <= vertices
+                    else "span has fewer than three vertices" if len(key) < 3
+                    else None
+                )
+            flaw = span_flaw
             u, v, w = seg
             if flaw is None and not (u in span and v in span and w in span):
                 flaw = "span does not contain the segment"
@@ -123,14 +121,14 @@ def cover_defects(g: SimplicialGraph, cover: NonSplitCover) -> list[str]:
                         continue
                 elif ring and len(ring) == 2 * n:
                     if position is None:  # made at the ring's first reuse
-                        position = known[3] = dict(zip(ring, range(n)))
+                        position = dict(zip(ring, range(n)))
                     i = position.get(seq[0])
                     if i is not None and (seq == ring[i : i + n] or seq == ring[i + n : i : -1]):
                         continue
                 if not _is_hamiltonian_cycle(nbrs, span, seq):
                     flaw = "cycle is not Hamiltonian in the span"
                 else:
-                    known[2:] = (seq * 2, None)  # a new ring, with no position dict yet
+                    ring, position = seq * 2, None  # a new ring, with no position dict yet
         except TypeError:
             flaw = "not a span and a cycle of vertex names"
         if flaw is not None:

@@ -1,5 +1,6 @@
 import random
 import sys
+import tracemalloc
 from collections.abc import Mapping
 from itertools import combinations
 
@@ -789,6 +790,61 @@ class TestCoverDefectsDifferential:
         expected = [f"entry {second}: cycle is not Hamiltonian in the span"]
         assert cover_defects(square, cover) == expected == induced_cover_defects(square, cover)
 
+    # the second entry's span equals the first's but is another object: the first's ring is
+    # read again, and a cycle that is not one of its rotations is still checked in full
+    @pytest.mark.parametrize("copy", [tuple, list], ids=["tuple", "list"])
+    @pytest.mark.parametrize("broken", [False, True], ids=["rotated", "broken"])
+    def test_an_equal_span_in_another_object(self, square, copy, broken):
+        entries = dict(nonsplit_cover(square).entries)
+        first, second = sorted(entries)[:2]
+        span = copy(list(entries[first][0]))
+        assert span is not entries[first][0] and span == copy(entries[first][0])
+        v, a, b, *rest = entries[first][1][::-1]
+        entries[second] = (span, (v, b, a, *rest) if broken else (v, a, b, *rest))  # v-b is no edge
+        cover = NonSplitCover(entries=entries)
+        expected = [f"entry {second}: cycle is not Hamiltonian in the span"] if broken else []
+        assert cover_defects(square, cover) == expected == induced_cover_defects(square, cover)
+
+    # in the domino's segment order ('b', 'a', 'd') spans the left square, ('b', 'c', 'f') the
+    # right one and ('b', 'e', 'd') the left again: two spans of one size. Each entry is given
+    # the ring of the entry before, rotated, so a ring kept across a change of span accepts it
+    @pytest.mark.parametrize(
+        "before, seg",
+        [(("b", "a", "d"), ("b", "c", "f")), (("b", "c", "f"), ("b", "e", "d"))],
+        ids=["new span", "first span again"],
+    )
+    def test_a_ring_is_not_read_across_a_change_of_span(self, before, seg):
+        g = parse_graph("a b\nb c\nd e\ne f\na d\nb e\nc f")
+        entries = dict(nonsplit_cover(g).entries)
+        segments = two_edge_segments(g)
+        assert segments.index(seg) == segments.index(before) + 1
+        assert set(entries[before][0]) != set(entries[seg][0]) and len(entries[before][0]) == len(entries[seg][0])
+        cycle = entries[before][1]
+        entries[seg] = (entries[seg][0], cycle[1:] + cycle[:1])
+        cover = NonSplitCover(entries=entries)
+        expected = [f"entry {seg}: cycle is not Hamiltonian in the span"]
+        assert cover_defects(g, cover) == expected == induced_cover_defects(g, cover)
+
+    # a span that does not hash leaves the state of the entry before as it was: the entry after,
+    # of the first entry's span, is still checked, and one of the same malformed span is flagged too
+    @pytest.mark.parametrize("third", ["broken cycle", "malformed span"])
+    def test_a_malformed_span_between_two_of_one_span(self, square, third):
+        entries = dict(nonsplit_cover(square).entries)
+        first, second, last = sorted(entries)[:3]
+        assert entries[first][0] is entries[last][0]
+        malformed = (["a"], "b", "c", "d")
+        if third == "broken cycle":
+            delta, (v, a, b, *rest) = entries[last]
+            entries[last] = (delta, (v, b, a, *rest))  # v-b is no edge of the square
+            expected = induced_cover_defects(square, NonSplitCover(entries=entries))
+            assert expected == [f"entry {last}: cycle is not Hamiltonian in the span"]
+        else:
+            entries[last] = (malformed, entries[last][1])
+            expected = [f"entry {last}: not a span and a cycle of vertex names"]
+        entries[second] = (malformed, entries[second][1])
+        expected = [f"entry {second}: not a span and a cycle of vertex names", *expected]
+        assert cover_defects(square, NonSplitCover(entries=entries)) == expected
+
     def test_cycle_cover_with_one_cycle_left_open(self):
         """Only the closing step of one cycle of a 300-cycle's cover misses an edge."""
         g = scale_graph("cycle", 300, 1)
@@ -814,6 +870,23 @@ class TestCoverDefectsDifferential:
         g = scale_graph("cycle", 300, 1)
         assert cover_defects(g, nonsplit_cover(g)) == []
         assert len(calls) == 1  # every other cycle is the first read from another start
+
+    def test_a_wheel_cover_is_checked_in_memory_of_one_span(self):
+        # nearly every one of the wheel's spans is distinct, so a record kept per span takes 30 MB
+        rim = 150
+        g = SimplicialGraph.from_edges(
+            [*((f"r{i}", f"r{(i + 1) % rim}") for i in range(rim)), *(("hub", f"r{i}") for i in range(rim))]
+        )
+        cover = nonsplit_cover(g)
+        assert len(cover.entries) == 11_625
+        tracemalloc.start()
+        try:
+            baseline = tracemalloc.get_traced_memory()[0]
+            assert cover_defects(g, cover) == []
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - baseline < 4 * 2**20
 
     def test_a_rotation_with_two_names_swapped_is_checked(self):
         g = scale_graph("cycle", 300, 1)
