@@ -1,31 +1,31 @@
 """Command-line front end.
 
-Subcommands: split, jsj, witness, check, census, export-dot.  Input is the
-edge-list format (or graph6 with --g6) from a file argument or stdin, as UTF-8
-with an optional byte-order mark.  Machine payload goes to stdout in writes of
-64 KB that ``_emit`` alone joins from the writers' pieces, diagnostics to
-stderr.  ``export-dot --stage j|j0`` is ``jsj --format dot``.
+Subcommands: split, jsj, witness, check, census, export-dot, each a row of the table
+``COMMANDS``, which reads argv and prints help and usage errors.  Input is the edge-list
+format (or graph6 with --g6) from a file argument or stdin, as UTF-8 with an optional BOM.
+Machine payload goes to stdout in writes of 64 KB that ``_emit`` alone joins from the
+writers' pieces, diagnostics to stderr.  ``export-dot --stage j|j0`` is ``jsj --format dot``.
 
 Exit codes: 0 success, 2 usage or parse error, or input not readable as UTF-8
 text (missing file, directory, invalid bytes, closed stdin), 3 empty graph,
 4 decomposition precondition unmet (disconnected or fewer than three vertices;
 ``check`` works at any size otherwise), 5 census range error, 1 internal check
 failure, 141 stdout closed by its reader (128 + SIGPIPE, as a shell reports).
-``witness`` re-verifies through ``raagsplit.certify``.
+``witness`` re-verifies through ``raagsplit.certify``, its defects to stderr.
 """
 
 from __future__ import annotations
 
-import argparse
 import errno
 import gc
 import os
 import sys
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 # each command imports the modules it runs, so ``--help`` loads none of the library
 if TYPE_CHECKING:
-    from typing import Iterable, Iterator, Optional, Union
+    from typing import Iterable, Iterator, NoReturn, Optional, Union
 
     from .graphs import SimplicialGraph
 
@@ -104,7 +104,7 @@ def _is_empty(g: SimplicialGraph) -> bool:
     return True
 
 
-def cmd_split(args: argparse.Namespace) -> int:
+def cmd_split(args: SimpleNamespace) -> int:
     from .serialize import _payload_json
     from .splitting import splits_over_z
 
@@ -115,7 +115,7 @@ def cmd_split(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_jsj(args: argparse.Namespace) -> int:
+def cmd_jsj(args: SimpleNamespace) -> int:
     from .decompositions import build_j0, jsj
     from .serialize import _gog_dot, _gog_json
 
@@ -127,7 +127,7 @@ def cmd_jsj(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_witness(args: argparse.Namespace) -> int:
+def cmd_witness(args: SimpleNamespace) -> int:
     from .certify import amalgam_defects, cover_defects
     from .graphs import GraphError
     from .serialize import _payload_json
@@ -140,13 +140,13 @@ def cmd_witness(args: argparse.Namespace) -> int:
         raise GraphError("witnesses are produced for graphs with at least three vertices")
     report = splits_over_z(g)
     witness = report.witness
-    defects = amalgam_defects if witness._kind == "amalgam" else cover_defects
-    verified = not defects(g, witness)
-    _emit(_payload_json({"z_split": report.z_split, "witness": witness, "verified": verified}))
-    return EXIT_OK if verified else EXIT_CHECK_FAILED
+    defects = (amalgam_defects if witness._kind == "amalgam" else cover_defects)(g, witness)
+    _emit(_payload_json({"z_split": report.z_split, "witness": witness, "verified": not defects}))
+    sys.stderr.writelines(f"error: witness {defect}\n" for defect in defects)
+    return EXIT_CHECK_FAILED if defects else EXIT_OK
 
 
-def cmd_check(args: argparse.Namespace) -> int:
+def cmd_check(args: SimpleNamespace) -> int:
     from .certify import is_reduced
     from .decompositions import jsj
     from .presentations import abelianization, check_coverage, check_euler, emit_presentation
@@ -171,9 +171,9 @@ def cmd_check(args: argparse.Namespace) -> int:
     return EXIT_OK if all(ok for _, ok, _ in results) else EXIT_CHECK_FAILED
 
 
-def cmd_export_dot(args: argparse.Namespace) -> int:
+def cmd_export_dot(args: SimpleNamespace) -> int:
     if args.stage != "graph":
-        return cmd_jsj(args)  # the parser set format="dot"
+        return cmd_jsj(args)  # its defaults set format="dot"
     from .serialize import graph_to_dot
 
     _emit(graph_to_dot(_load_graph(args.file, args.g6)))
@@ -258,7 +258,7 @@ def census_rows(graphs_by_n: dict[int, Iterable[SimplicialGraph]]) -> list[dict]
     return rows
 
 
-def cmd_census(args: argparse.Namespace) -> int:
+def cmd_census(args: SimpleNamespace) -> int:
     import json
 
     if args.file is not None:
@@ -291,61 +291,110 @@ def cmd_census(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="raag",
-        description="Splittings and JSJ decompositions of right-angled Artin groups.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# Each command: its handler, its options (bool for a flag, a tuple of choices, or int), its defaults and
+# its help line. Where its file defaults to None, its options and file are sources, and at most one is given.
+_INPUT = {"file": "-", "g6": False}
+COMMANDS = {
+    "split": (cmd_split, {"--g6": bool}, _INPUT, "free and Z-splitting verdicts with witness"),
+    "jsj": (cmd_jsj, {"--g6": bool, "--stage": ("j0", "j"), "--format": ("json", "dot")},
+            {**_INPUT, "stage": "j", "format": "json"}, "graph-of-groups decomposition"),
+    "witness": (cmd_witness, {"--g6": bool}, _INPUT, "emit and re-verify the splitting witness"),
+    "check": (cmd_check, {"--g6": bool}, _INPUT, "consistency checks of the decomposition"),
+    "census": (cmd_census, {"--n": int, "--max-n": int}, {"file": None, "n": None, "max_n": None},
+               f"tabulate graphs on N or {CENSUS_MIN_N}..N (default {CENSUS_MAX_N}) vertices, or a graph6 file"),
+    "export-dot": (cmd_export_dot, {"--g6": bool, "--stage": ("graph", "j0", "j")},
+                   {**_INPUT, "stage": "graph", "format": "dot"}, "DOT of the graph or its decomposition"),
+}
+_HELP = ("-h", "--help")
+_FILE = "file is an edge-list file (one graph6 line with --g6), or - (the default) for stdin"
 
-    def add_input(p: argparse.ArgumentParser) -> None:
-        p.add_argument("file", nargs="?", default="-", help="edge-list file, or - for stdin")
-        p.add_argument("--g6", action="store_true", help="input is a single graph6 line")
 
-    p_split = sub.add_parser("split", help="free and Z-splitting verdicts with witness")
-    add_input(p_split)
-    p_split.set_defaults(func=cmd_split)
+def _usage(command: Optional[str], full: bool = False) -> str:
+    """The usage line of raag, or of ``command``; with ``full``, the help lines after it."""
+    if command is None:
+        rows = [f"  {name:<12}{spec[3]}" for name, spec in COMMANDS.items()]
+        head, body = f"raag [-h] {{{','.join(COMMANDS)}}} ...", [*rows, "", _FILE]
+    else:
+        _, opts, defaults, line = COMMANDS[command]
+        words = [o if k is bool else f"{o} N" if k is int else f"{o} {{{','.join(k)}}}" for o, k in opts.items()]
+        between = " | " if defaults["file"] is None else "] ["  # one source, or each word optional
+        head, body = f"raag {command} [-h] [{between.join([*words, 'file'])}]", [line]
+    return "\n".join([f"usage: {head}", "", *body] if full else [f"usage: {head}"])
 
-    p_jsj = sub.add_parser("jsj", help="graph-of-groups decomposition")
-    add_input(p_jsj)
-    p_jsj.add_argument("--stage", choices=("j0", "j"), default="j")
-    p_jsj.add_argument("--format", choices=("json", "dot"), default="json")
-    p_jsj.set_defaults(func=cmd_jsj)
 
-    p_witness = sub.add_parser("witness", help="emit and re-verify the splitting witness")
-    add_input(p_witness)
-    p_witness.set_defaults(func=cmd_witness)
+def _option(token: str, options: dict) -> tuple[Optional[str], Optional[str]]:
+    """The option ``token`` names (itself if unknown) and the value after ``=``, or None twice if positional."""
+    name, eq, value = token.partition("=")
+    if name in options or name in _HELP:
+        return name, value if eq else None
+    if token[:2] == "-h":  # the short option -h, with the value x in -hx
+        return "-h", token[2:]
+    whole, dot, fraction = token[1:].removesuffix("\n").partition(".")
+    number = (whole + fraction).isdecimal() and (fraction or not dot)  # argparse's -\d+$|-\d*\.\d+$
+    return (None, None) if token[:1] != "-" or token == "-" or " " in token or number else (token, None)
 
-    p_check = sub.add_parser("check", help="consistency checks of the decomposition")
-    add_input(p_check)
-    p_check.set_defaults(func=cmd_check)
 
-    p_census = sub.add_parser("census", help="sweep labeled graphs and tabulate verdicts")
-    # one source of graphs; argparse passes an option given its default value as if absent,
-    # so --max-n has none of its own and cannot slip past the conflict check as "--max-n 6"
-    source = p_census.add_mutually_exclusive_group()
-    source.add_argument("--n", type=int, default=None, help="single vertex count")
-    source.add_argument("--max-n", type=int, default=None, dest="max_n")
-    source.add_argument(
-        "file", nargs="?", default=None, help="graph6 stream (or -) instead of internal enumeration"
-    )
-    p_census.set_defaults(func=cmd_census)
+def parse_args(argv: Optional[list[str]] = None) -> SimpleNamespace:
+    """The command ``argv`` (default ``sys.argv[1:]``) names and its fields, as argparse read them
+    but unabbreviated: help and bad values exit where met, unknown or extra words once all are read."""
+    command, options, fields, given, unknown, rest = None, {}, {}, [], [], False
+    tokens = iter(sys.argv[1:] if argv is None else argv)
 
-    p_dot = sub.add_parser("export-dot", help="DOT of the graph or its decomposition")
-    add_input(p_dot)
-    p_dot.add_argument("--stage", choices=("graph", "j0", "j"), default="graph")
-    p_dot.set_defaults(func=cmd_export_dot, format="dot")
+    def fail(message: str) -> NoReturn:
+        print(f"{_usage(command)}\nraag: error: {message}", file=sys.stderr)
+        raise SystemExit(EXIT_PARSE)
 
-    return parser
+    for token in tokens:
+        if token == "--" and command and not rest:
+            rest = True  # ends the options; as argparse, dropped before the file or just after it
+            if "file" not in given or given[-1] == "file":
+                continue
+        name, value = (None, None) if rest or token == "--" else _option(token, options)
+        if name is None and command is None:
+            if token not in COMMANDS:
+                fail(f"argument command: invalid choice: {token!r}")
+            command, (_, options, defaults, _) = token, COMMANDS[token]
+            fields = dict(defaults)
+            continue
+        if name is None and "file" not in given:
+            name, value = "file", token
+        elif name in _HELP or options.get(name) is bool:
+            if value is not None:
+                fail(f"argument {name}: ignored explicit argument {value!r}")
+            if name in _HELP:
+                print(_usage(command, full=True))
+                raise SystemExit(EXIT_OK)
+            value = True
+        elif name not in options:  # an unknown option, or a positional after the file
+            unknown.append(token)
+            continue
+        else:
+            if value is None:
+                value = next(tokens, "--")
+                if value == "--" or _option(value, options)[0] is not None:
+                    fail(f"argument {name}: expected one argument")
+            if options[name] is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    fail(f"argument {name}: invalid int value: {value!r}")
+            elif value not in options[name]:
+                fail(f"argument {name}: invalid choice: {value!r}")
+        if defaults["file"] is None and set(given) - {name}:
+            fail(f"argument {name}: not allowed with argument {given[0]}")
+        given.append(name)
+        fields[name.lstrip("-").replace("-", "_")] = value
+    if command is None or unknown:
+        fail(f"unrecognized arguments: {' '.join(unknown)}" if command else "a command is required")
+    return SimpleNamespace(command=command, **fields)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(argv)
     from .graphs import GraphError, ParseError
 
     try:
-        return args.func(args)
+        return COMMANDS[args.command][0](args)
     except (ParseError, _Unreadable) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

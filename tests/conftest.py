@@ -656,3 +656,63 @@ def scale_graph(family: str, n: int, seed: int) -> SimplicialGraph:
     edges = [(f"v{perm[u]:04d}", f"v{perm[v]:04d}") for u, v in _scale_edges(family, n, rng)]
     rng.shuffle(edges)
     return SimplicialGraph.from_edges(edges)
+
+
+# ------------------------------------------------------------ frozen argparse parser
+
+
+def frozen_build_parser():
+    """The argparse parser ``raag`` used before ``cli.parse_args`` read its table.
+
+    The differential oracle for ``parse_args``: both read a valid command line
+    to the same fields, and both exit 2 on an invalid one.
+    """
+    import argparse
+
+    from raagsplit.cli import cmd_census, cmd_check, cmd_export_dot, cmd_jsj, cmd_split, cmd_witness
+
+    parser = argparse.ArgumentParser(
+        prog="raag",
+        description="Splittings and JSJ decompositions of right-angled Artin groups.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_input(p: argparse.ArgumentParser) -> None:
+        p.add_argument("file", nargs="?", default="-", help="edge-list file, or - for stdin")
+        p.add_argument("--g6", action="store_true", help="input is a single graph6 line")
+
+    p_split = sub.add_parser("split", help="free and Z-splitting verdicts with witness")
+    add_input(p_split)
+    p_split.set_defaults(func=cmd_split)
+
+    p_jsj = sub.add_parser("jsj", help="graph-of-groups decomposition")
+    add_input(p_jsj)
+    p_jsj.add_argument("--stage", choices=("j0", "j"), default="j")
+    p_jsj.add_argument("--format", choices=("json", "dot"), default="json")
+    p_jsj.set_defaults(func=cmd_jsj)
+
+    p_witness = sub.add_parser("witness", help="emit and re-verify the splitting witness")
+    add_input(p_witness)
+    p_witness.set_defaults(func=cmd_witness)
+
+    p_check = sub.add_parser("check", help="consistency checks of the decomposition")
+    add_input(p_check)
+    p_check.set_defaults(func=cmd_check)
+
+    p_census = sub.add_parser("census", help="sweep labeled graphs and tabulate verdicts")
+    # one source of graphs; argparse passes an option given its default value as if absent,
+    # so --max-n has none of its own and cannot slip past the conflict check as "--max-n 6"
+    source = p_census.add_mutually_exclusive_group()
+    source.add_argument("--n", type=int, default=None, help="single vertex count")
+    source.add_argument("--max-n", type=int, default=None, dest="max_n")
+    source.add_argument(
+        "file", nargs="?", default=None, help="graph6 stream (or -) instead of internal enumeration"
+    )
+    p_census.set_defaults(func=cmd_census)
+
+    p_dot = sub.add_parser("export-dot", help="DOT of the graph or its decomposition")
+    add_input(p_dot)
+    p_dot.add_argument("--stage", choices=("graph", "j0", "j"), default="graph")
+    p_dot.set_defaults(func=cmd_export_dot, format="dot")
+
+    return parser

@@ -1,8 +1,10 @@
+import contextlib
 import hashlib
 import io
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -11,6 +13,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from raagsplit import (
     GoGVertex,
@@ -24,7 +27,7 @@ from raagsplit import (
     parse_graph,
     splits_over_z,
 )
-from raagsplit.cli import _CHUNK, _emit, main
+from raagsplit.cli import _CHUNK, _emit, main, parse_args
 from raagsplit.serialize import (
     _gog_dot,
     _gog_json,
@@ -36,7 +39,7 @@ from raagsplit.serialize import (
     witness_to_dict,
 )
 
-from conftest import graphs, hand_built_gogs, oracle_is_biconnected, scale_graph
+from conftest import frozen_build_parser, graphs, hand_built_gogs, oracle_is_biconnected, scale_graph
 
 STAR = "c l1\nc l2\nc l3\n"
 TWO_TRIANGLES = "a b\na c\nb c\nc d\nd e\nd f\ne f\n"
@@ -203,6 +206,45 @@ class TestWitness:
         code, _, _ = run(capsys, ["witness", "-"], stdin="a b\n", monkeypatch=monkeypatch)
         assert code == 4
 
+    @pytest.mark.parametrize("text", ["a b\nb c\nc d\na d\n", "a b\nb c\nc d\n"], ids=["cover", "amalgam"])
+    def test_verified_witness_writes_no_stderr(self, capsys, monkeypatch, text):
+        code, _, err = run(capsys, ["witness", "-"], stdin=text, monkeypatch=monkeypatch)
+        assert (code, err) == (0, "")
+
+    @staticmethod
+    def run_with_broken_witness(capsys, monkeypatch, text, spoil):
+        """``raag witness`` on ``text`` when the producer's witness passes through ``spoil`` first."""
+        import raagsplit.splitting
+
+        real = raagsplit.splitting.splits_over_z
+
+        def producer(g):
+            report = real(g)
+            return report._replace(witness=spoil(report.witness))
+
+        monkeypatch.setattr(raagsplit.splitting, "splits_over_z", producer)
+        code, out, err = run(capsys, ["witness", "-"], stdin=text, monkeypatch=monkeypatch)
+        report = producer(parse_graph(text))
+        fields = {"z_split": report.z_split, "witness": report.witness, "verified": False}
+        assert (code, out) == (1, "".join(_payload_json(fields)) + "\n")  # the bytes a failed witness always wrote
+        return err
+
+    def test_cover_missing_an_entry_names_the_segment(self, capsys, monkeypatch):
+        def drop_first(cover):
+            return cover._replace(entries={k: v for k, v in cover.entries.items() if k != ("a", "b", "c")})
+
+        err = self.run_with_broken_witness(capsys, monkeypatch, "a b\nb c\nc d\na d\n", drop_first)
+        assert err == "error: witness missing segment ('a', 'b', 'c')\n"
+
+    def test_amalgam_with_a_wrong_side_names_its_flaw(self, capsys, monkeypatch):
+        # the path a-b-c-d splits at b; a second side without d leaves d on neither side
+        def shrink(amalgam):
+            assert (amalgam.vertex, amalgam.side2) == ("b", ("b", "c", "d"))
+            return amalgam._replace(side2=("b", "c"))
+
+        err = self.run_with_broken_witness(capsys, monkeypatch, "a b\nb c\nc d\n", shrink)
+        assert err == "error: witness sides do not cover exactly the graph's vertices\n"
+
 
 class TestCheck:
     def test_two_triangles_all_pass(self, capsys, two_triangles_file):
@@ -259,7 +301,12 @@ class TestCensus:
         code, _, err = run(capsys, ["census", "--n", "2"])
         assert code == 5 and "census" in err
 
-    # "--max-n 6" gives the option its default value, which argparse alone would let through
+    @pytest.mark.parametrize("argv", [["--n", "-3"], ["--n=-3"], ["--max-n", "-1"]])
+    def test_negative_count_is_a_value_and_a_range_error(self, capsys, argv):
+        code, out, err = run(capsys, ["census", *argv])
+        assert (code, out, err) == (5, "", "error: census enumerates 3 <= n <= 6 vertices\n")
+
+    # "--max-n 6" gives the option the value census uses when none is given, and is a source all the same
     @pytest.mark.parametrize(
         "options", [["--n", "5", "FILE"], ["--n", "4", "--max-n", "5"], ["--n", "4", "--max-n", "6"]]
     )
@@ -855,6 +902,104 @@ class TestGraph6:
         assert json.loads(out)["z_split"] == "no"
 
 
+def parsed(parse, argv):
+    """The fields ``parse`` reads from ``argv``, without the handler, or the code it exits with."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            fields = vars(parse(argv))
+        except SystemExit as exc:
+            return exc.code
+    fields.pop("func", None)
+    return fields
+
+
+class TestParser:
+    """``parse_args`` reads each command line as the argparse parser it replaced did.
+
+    A valid line gives the same fields, an invalid one exits 2 from both, and
+    help exits 0 from both.  The one difference is that no option is abbreviated.
+    """
+
+    FROZEN = frozen_build_parser().parse_args
+
+    VALID = [
+        "split", "split -", "split g.txt", "split g.txt --g6", "split --g6 g.txt", "split --g6 --g6 -",
+        "split -- -x", "split --g6 -- -", "split -3", "split -.5", "split -1.5", "split ''",
+        "jsj", "jsj g.txt --stage j0", "jsj --stage=j0 g.txt", "jsj --format dot --stage j0 -",
+        "jsj g.txt --format=dot", "jsj --stage j0 --stage j g.txt", "jsj --stage=j0 --stage=j0 --g6",
+        "witness g.txt", "witness --g6 -", "check", "check g.txt --g6",
+        "census", "census --n 4", "census --n=4", "census --max-n 5", "census --max-n=5", "census s.g6",
+        "census -", "census --n -3", "census --n=-3", "census --n 3 --n 4", "census --max-n 6", "census --n ' 7 '",
+        "export-dot", "export-dot g.txt", "export-dot --stage j g.txt", "export-dot g.txt --stage=j0",
+        "export-dot --stage graph --g6 -",
+    ]
+    INVALID = [
+        "", "nosuch", "-x", "--g6 split", "-- split", "-x split", "-3",
+        "split --bogus", "split -x", "split a b", "split --g6=x", "split --g6=", "split --stage j",
+        "split --help=x", "split -hx", "jsj - -", "check --stage j",
+        "jsj --stage x", "jsj --stage=x", "jsj --stage=", "jsj --format", "jsj --stage", "jsj --stage --format dot",
+        "jsj --stage -h", "export-dot --stage dot", "export-dot --format dot",
+        "census --n", "census --n x", "census --n=3.5", "census --max-n four", "census a.g6 b.g6",
+        "census --n 3 --max-n 4", "census --n 3 s.g6", "census s.g6 --max-n 4", "census --max-n 6 --n 3",
+    ]
+    HELP = ["-h", "--help", "-x -h", "split -h", "census --help", "split a b -h", "split --bogus -h", "jsj --stage j0 -h"]
+
+    @pytest.mark.parametrize("line", VALID)
+    def test_valid_lines_give_the_same_fields(self, line):
+        fields = parsed(parse_args, shlex.split(line))
+        assert isinstance(fields, dict) and fields == parsed(self.FROZEN, shlex.split(line))
+
+    @pytest.mark.parametrize("line", INVALID)
+    def test_invalid_lines_exit_2_with_usage(self, capsys, line):
+        assert parsed(self.FROZEN, shlex.split(line)) == 2
+        with pytest.raises(SystemExit) as exc:
+            parse_args(shlex.split(line))
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert err.startswith("usage: raag") and err.count("\nraag: error: ") == 1 and err.endswith("\n")
+
+    @pytest.mark.parametrize("line", HELP)
+    def test_help_exits_0(self, capsys, line):
+        assert parsed(self.FROZEN, shlex.split(line)) == 0
+        with pytest.raises(SystemExit) as exc:
+            parse_args(shlex.split(line))
+        out, err = capsys.readouterr()
+        assert (exc.value.code, err) == (0, "") and out.startswith("usage: raag")
+
+    def test_help_comes_from_the_table(self, capsys):
+        from raagsplit.cli import COMMANDS
+
+        def help_of(*argv):
+            with pytest.raises(SystemExit):
+                parse_args(list(argv))
+            return capsys.readouterr().out
+
+        top = help_of("-h")
+        assert top.startswith("usage: raag [-h] {split,jsj,witness,check,census,export-dot} ...\n")
+        for name, (_, _, _, line) in COMMANDS.items():
+            assert line in top
+            assert help_of(name, "--help").startswith(f"usage: raag {name} [-h] [") and line in help_of(name, "-h")
+        assert help_of("jsj", "-h").startswith("usage: raag jsj [-h] [--g6] [--stage {j0,j}] [--format {json,dot}] [file]\n")
+        assert help_of("census", "-h").startswith("usage: raag census [-h] [--n N | --max-n N | file]\n")
+
+    @pytest.mark.parametrize("line", ["jsj --st j0", "jsj --for=dot", "census --max 4", "split --g", "--he"])
+    def test_abbreviations_are_not_read(self, line):
+        # argparse read each as a longer option's abbreviation, --he as --help
+        assert parsed(self.FROZEN, shlex.split(line)) != parsed(parse_args, shlex.split(line)) == 2
+
+    # "--" appears only in the fixed lines above
+    TOKENS = [
+        "split", "jsj", "census", "export-dot", "g.txt", "-", "-3", "-.5", "x", "--g6", "--g6=x", "--stage",
+        "--stage=j0", "j0", "j", "graph", "--format", "dot", "--format=json", "--n", "--n=4", "--max-n", "5",
+        "--bogus", "-x", "-h", "--help", "",
+    ]
+
+    @given(st.lists(st.sampled_from(TOKENS), max_size=6))
+    @settings(max_examples=400)
+    def test_random_lines(self, argv):
+        assert parsed(parse_args, argv) == parsed(self.FROZEN, argv)
+
+
 class TestImportSet:
     """Each command loads only the modules it runs; a new top-level import would undo that."""
 
@@ -869,6 +1014,9 @@ class TestImportSet:
         "raagsplit.serialize", "raagsplit.splitting",
     ]
 
+    # the command line is read without argparse, which loads gettext and locale; getopt is its kin
+    PARSERS = ["argparse", "getopt", "gettext", "locale"]
+
     @pytest.mark.parametrize(
         "argv, loaded",
         [
@@ -882,6 +1030,9 @@ class TestImportSet:
             ("check FILE", [*CORE, "raagsplit.certify", "raagsplit.presentations"]),
             # the census counts splittings as connected less biconnected, so builds no witness
             ("census --n 3", [*CORE, "json"]),
+            # help and a usage error load none of the library either
+            ("split --help", ["raagsplit", "raagsplit.cli"]),
+            ("jsj --stage=x FILE", ["raagsplit", "raagsplit.cli"]),
         ],
     )
     def test_modules_loaded(self, tmp_path, argv, loaded):
@@ -891,11 +1042,13 @@ class TestImportSet:
             "import sys; sys.path.insert(0, sys.argv[1])\n"
             "from raagsplit.cli import main\n"
             "try:\n    main(sys.argv[2:])\nexcept SystemExit:\n    pass\n"
-            "print(*sorted(m for m in sys.modules if m == 'json' or m.partition('.')[0] == 'raagsplit'),"
-            " file=sys.stderr)"
+            f"print(*sorted(m for m in sys.modules if m in {['json', *self.PARSERS]!r}"
+            " or m.partition('.')[0] == 'raagsplit'), file=sys.stderr)"
         )
         args = [str(graph) if arg == "FILE" else arg for arg in argv.split()]
         result = subprocess.run(
             [sys.executable, "-S", "-c", code, str(SRC), *args], capture_output=True, text=True
         )
-        assert result.stderr.splitlines()[-1].split() == sorted(loaded)
+        reported = result.stderr.splitlines()[-1].split()
+        assert not set(self.PARSERS) & set(reported)
+        assert reported == sorted(loaded)
