@@ -1,52 +1,32 @@
 #!/usr/bin/env python3
-"""Walk the two showcase graphs through the whole pipeline.
+"""Run the two showcase graphs through ``raag``: split, J0, J, check and J's DOT.
 
 The star gives F3 x Z (a decomposition that is already reduced, all groups
 cyclic); the two bridged triangles give the Z^3 *_Z Z^2 *_Z Z^3 amalgam after
-collapsing.
+collapsing.  Each graph is written to a file named after it in a temporary
+directory; each command prints a ``$ raag ...`` line and then its own bytes,
+and the script exits with the first non-zero status, so a failed check fails it.
 """
 
-import json
+import sys
+import tempfile
+from pathlib import Path
 
-from raagsplit import (
-    abelianization,
-    build_j0,
-    check_coverage,
-    check_euler,
-    emit_presentation,
-    is_reduced,
-    jsj,
-    parse_graph,
-    splits_over_z,
-)
-from raagsplit.serialize import gog_to_dict, gog_to_dot, report_to_dict
+from raagsplit.cli import main
 
 FIXTURES = {
     "star (F3 x Z)": "c l1\nc l2\nc l3",
     "two bridged triangles": "a b\na c\nb c\nc d\nd e\nd f\ne f",
 }
-
-
-def show(name: str, text: str) -> None:
-    g = parse_graph(text)
-    print(f"== {name}: {len(g.vertices)} vertices, {len(g.edges)} edges")
-    print("split report:", json.dumps(report_to_dict(splits_over_z(g))))
-    j0 = build_j0(g)
-    j = jsj(g)
-    print("initial stage:", json.dumps(gog_to_dict(j0)))
-    print("reduced stage:", json.dumps(gog_to_dict(j)))
-    rank, torsion = abelianization(emit_presentation(j))
-    print(
-        f"checks: reduced={is_reduced(j)} euler={check_euler(g, j)} "
-        f"coverage={check_coverage(g, j)} abelianization=({rank}, {torsion})"
-    )
-    print(gog_to_dot(j))
-
-
-def main() -> None:
-    for name, text in FIXTURES.items():
-        show(name, text)
-
+COMMANDS = (["split"], ["jsj", "--stage", "j0"], ["jsj"], ["check"], ["jsj", "--format", "dot"])
 
 if __name__ == "__main__":
-    main()
+    codes = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in FIXTURES.items():
+            path = Path(tmp, f"{name}.txt")
+            path.write_text(text, encoding="utf-8")
+            for command in COMMANDS:
+                print(f"$ raag {' '.join(command)} '{path.name}'")
+                codes.append(main([*command, str(path)]))
+    sys.exit(next((code for code in codes if code), 0))

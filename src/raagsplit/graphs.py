@@ -9,7 +9,7 @@ construction and safe to share between threads.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 
 class GraphError(ValueError):
@@ -165,22 +165,29 @@ def parse_graph(text: str) -> SimplicialGraph:
     return SimplicialGraph._trusted(adj)
 
 
+def _component_avoiding(g: SimplicialGraph, start: str, avoid: Optional[str]) -> set[str]:
+    """The vertices of g minus ``avoid`` that ``start`` reaches."""
+    seen = {start, avoid}  # avoid starts out seen, so the search never enters it
+    adj = g._adj
+    comp = [start]
+    for x in comp:  # the list grows as it is read, so it is the search's queue too
+        for y in adj[x]:
+            if y not in seen:
+                seen.add(y)
+                comp.append(y)
+    seen.discard(avoid)
+    return seen
+
+
 def connected_components(g: SimplicialGraph) -> list[tuple[str, ...]]:
     """Maximal connected pieces, each sorted, ordered by least member."""
-    adj = g._adj
     seen: set[str] = set()
     comps: list[tuple[str, ...]] = []
-    for start in sorted(adj):
-        if start in seen:
-            continue
-        seen.add(start)
-        comp = [start]
-        for x in comp:  # the list grows as it is read, so it is the search's queue too
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    comp.append(y)
-        comps.append(tuple(sorted(comp)))
+    for start in sorted(g._adj):
+        if start not in seen:
+            comp = _component_avoiding(g, start, None)
+            seen |= comp
+            comps.append(tuple(sorted(comp)))
     return comps
 
 

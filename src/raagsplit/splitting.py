@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Collection, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .blocks import _lowpoint_scan, cut_vertices, is_biconnected
-from .graphs import GraphError, SimplicialGraph
+from .graphs import GraphError, SimplicialGraph, _component_avoiding
 
 Z_SPLIT_YES = "yes"
 Z_SPLIT_NO = "no"
@@ -93,19 +93,6 @@ def _z_split_witness(g: SimplicialGraph, cuts: Collection[str]) -> ZSplitWitness
         else:
             v = min(outside)
     return ZSplitWitness(side1=tuple(sorted(comp | {v})), side2=tuple(sorted(allv - comp)), vertex=v)
-
-
-def _component_avoiding(g: SimplicialGraph, start: str, avoid: Optional[str]) -> set[str]:
-    """The vertices of g minus ``avoid`` that ``start`` reaches."""
-    seen = {start}
-    adj = g._adj
-    comp = [start]
-    for x in comp:  # the list grows as it is read, so it is the search's queue too
-        for y in adj[x]:
-            if y != avoid and y not in seen:
-                seen.add(y)
-                comp.append(y)
-    return seen
 
 
 def nonsplit_cover(g: SimplicialGraph) -> NonSplitCover:

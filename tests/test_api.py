@@ -50,7 +50,7 @@ def test_all_is_sorted_unique_and_resolves():
 
 def test_clients_are_found():
     # a glob that matched nothing, or a parser that missed every import, would pass vacuously
-    assert {"bench/pipeline.py", "scripts/demo_decompositions.py", "scripts/verdict_sweep.py"} <= set(CLIENTS)
+    assert {"bench/pipeline.py", "scripts/demo_decompositions.py"} <= set(CLIENTS)
 
 
 @pytest.mark.parametrize("client", CLIENTS)

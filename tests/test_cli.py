@@ -4,6 +4,8 @@ import io
 import json
 import os
 import random
+import re
+import runpy
 import shlex
 import subprocess
 import sys
@@ -45,6 +47,7 @@ STAR = "c l1\nc l2\nc l3\n"
 TWO_TRIANGLES = "a b\na c\nb c\nc d\nd e\nd f\ne f\n"
 TRIANGLE = "a b\nb c\na c\n"
 SRC = Path(__file__).resolve().parents[1] / "src"
+DEMO = SRC.parent / "scripts" / "demo_decompositions.py"
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -206,6 +209,11 @@ class TestWitness:
         code, _, _ = run(capsys, ["witness", "-"], stdin="a b\n", monkeypatch=monkeypatch)
         assert code == 4
 
+    @pytest.mark.parametrize("text", ["", "# nothing\n"])
+    def test_empty_graph_exit_3(self, capsys, monkeypatch, text):
+        code, out, err = run(capsys, ["witness", "-"], stdin=text, monkeypatch=monkeypatch)
+        assert (code, out, err) == (3, "", "error: empty graph\n")
+
     @pytest.mark.parametrize("text", ["a b\nb c\nc d\na d\n", "a b\nb c\nc d\n"], ids=["cover", "amalgam"])
     def test_verified_witness_writes_no_stderr(self, capsys, monkeypatch, text):
         code, _, err = run(capsys, ["witness", "-"], stdin=text, monkeypatch=monkeypatch)
@@ -355,6 +363,16 @@ class TestCensus:
         assert rows[0]["connected"] == 38
         assert rows[0]["biconnected"] == 10
         assert rows[0]["splits_over_Z"] == 28
+
+    def test_stream_blank_lines_are_skipped(self, capsys, tmp_path):
+        pairs = list(combinations(range(4), 2))
+        lines = [encode_graph6(4, [p for i, p in enumerate(pairs) if mask >> i & 1]) for mask in range(1 << 6)]
+        outputs = []
+        for name, separator in [("plain.g6", "\n"), ("spaced.g6", "\n\n  \n")]:
+            stream = tmp_path / name
+            stream.write_text(separator.join(lines) + "\n")
+            outputs.append(run(capsys, ["census", str(stream)]))
+        assert outputs[0] == outputs[1] and outputs[0][0] == 0
 
     def test_two_lowpoint_scans_per_connected_graph(self, monkeypatch):
         # one in is_biconnected, one in jsj; the splitting count is connected less biconnected
@@ -878,6 +896,20 @@ class TestGraph6:
         with pytest.raises(ParseError):
             parse_graph6("C")
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            (">>graph6<<", "empty graph6 line"),
+            ("!", "bad graph6 size byte '!'"),
+            ("\x7f", "bad graph6 size byte '\\x7f'"),
+        ],
+    )
+    def test_malformed_line_names_its_flaw(self, line, message):
+        from raagsplit import ParseError
+
+        with pytest.raises(ParseError, match=f"^line 4: {re.escape(message)}$"):
+            parse_graph6(line, 4)
+
     @given(graphs(max_vertices=8))
     @settings(max_examples=60)
     def test_round_trip_via_independent_encoder(self, g):
@@ -893,6 +925,10 @@ class TestGraph6:
     def test_parse_error_names_its_line(self, capsys, monkeypatch):
         code, out, err = run(capsys, ["split", "-", "--g6"], stdin="\n\nB!\n", monkeypatch=monkeypatch)
         assert (code, out, err) == (2, "", "error: line 3: bad graph6 character '!'\n")
+
+    def test_two_lines_exit_2(self, capsys, monkeypatch):
+        code, out, err = run(capsys, ["split", "-", "--g6"], stdin="Bw\n\nA_\n", monkeypatch=monkeypatch)
+        assert (code, out, err) == (2, "", "error: line 1: expected exactly one graph6 line, got 2\n")
 
     def test_command_level_g6(self, capsys, monkeypatch):
         code, out, _ = run(
@@ -1052,3 +1088,38 @@ class TestImportSet:
         reported = result.stderr.splitlines()[-1].split()
         assert not set(self.PARSERS) & set(reported)
         assert reported == sorted(loaded)
+
+
+class TestDemoScript:
+    """The demo prints, before each command's own bytes, a ``$ raag`` line, and exits as ``raag`` does."""
+
+    COMMANDS = [["split"], ["jsj", "--stage", "j0"], ["jsj"], ["check"], ["jsj", "--format", "dot"]]
+
+    @staticmethod
+    def run_demo(capsys):
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_path(str(DEMO), run_name="__main__")
+        return exc.value.code, capsys.readouterr().out
+
+    def test_each_section_is_what_raag_writes(self, capsys, tmp_path):
+        code, out = self.run_demo(capsys)
+        heads = re.findall(r"^\$ raag .*$", out, flags=re.M)
+        sections = re.split(r"^\$ raag .*\n", out, flags=re.M)
+        expected_heads, expected_sections = [], [""]
+        for name, text in runpy.run_path(str(DEMO))["FIXTURES"].items():  # not __main__, so it runs nothing
+            graph = tmp_path / f"{name}.txt"
+            graph.write_text(text)
+            for command in self.COMMANDS:
+                expected_heads.append(f"$ raag {' '.join(command)} '{graph.name}'")
+                status, section, _ = run(capsys, [*command, str(graph)])
+                assert status == 0
+                expected_sections.append(section)
+        assert code == 0
+        assert (heads, sections) == (expected_heads, expected_sections)
+
+    def test_a_failed_check_fails_the_demo(self, capsys, monkeypatch):
+        import raagsplit.certify
+
+        monkeypatch.setattr(raagsplit.certify, "is_reduced", lambda gog: False)
+        code, out = self.run_demo(capsys)
+        assert code == 1 and out.count("reduced fail\n") == 2

@@ -948,6 +948,10 @@ class TestAmalgamDefects:
         w = ZSplitWitness(side1=("a", "b"), side2=("b", "c"), vertex="b")
         assert amalgam_defects(triangle, w) == ["edge ('a', 'c') joins the sides away from 'b'"]
 
+    def test_sides_meeting_in_two_vertices_rejected(self, star):
+        w = ZSplitWitness(side1=("c", "l1", "l2"), side2=("c", "l2", "l3"), vertex="c")
+        assert amalgam_defects(star, w) == ["sides do not meet in exactly 'c'"]
+
     def test_whole_graph_side_rejected(self, path3):
         w = ZSplitWitness(side1=("a", "b", "c"), side2=("b",), vertex="b")
         assert "a side is the whole graph" in amalgam_defects(path3, w)
